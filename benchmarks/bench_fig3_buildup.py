@@ -20,6 +20,7 @@ from repro.colorcoding.buildup_baseline import build_hash_table
 from repro.colorcoding.coloring import ColoringScheme
 from repro.graph.datasets import load_dataset
 from repro.table.flush import SpillStore
+from repro.table.layer_store import SpillLayerStore
 
 from common import emit, format_table
 
@@ -42,7 +43,9 @@ def _run_original(graph, coloring):
 def _run_motivo(graph, coloring, tmp_dir):
     tracemalloc.start()
     start = time.perf_counter()
-    table = build_table(graph, coloring, spill=SpillStore(tmp_dir))
+    table = build_table(
+        graph, coloring, store=SpillLayerStore(SpillStore(tmp_dir))
+    )
     seconds = time.perf_counter() - start
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -97,7 +100,10 @@ def test_fig3_sort_pass_is_cheap(tmp_path, benchmark):
 
     def run():
         store = SpillStore(str(tmp_path / f"s{time.monotonic_ns()}"))
-        build_table(graph, coloring, spill=store, instrumentation=inst)
+        build_table(
+            graph, coloring, store=SpillLayerStore(store),
+            instrumentation=inst,
+        )
 
     benchmark.pedantic(run, rounds=2, iterations=1)
     total = inst.timings["buildup"] + inst.timings["sort_pass"]

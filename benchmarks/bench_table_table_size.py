@@ -20,6 +20,7 @@ from repro.colorcoding.buildup_baseline import build_hash_table
 from repro.colorcoding.coloring import ColoringScheme
 from repro.graph.datasets import load_dataset
 from repro.table.flush import SpillStore
+from repro.table.layer_store import SpillLayerStore
 
 from common import emit, format_table
 
@@ -43,7 +44,9 @@ def _measure(dataset: str, k: int, tmp_dir: str):
     cc_bytes = cc_table.paper_equivalent_bytes() * CC_HASH_OVERHEAD
 
     store = SpillStore(tmp_dir)
-    motivo_table = build_table(graph, coloring, spill=store)
+    motivo_table = build_table(
+        graph, coloring, store=SpillLayerStore(store)
+    )
     motivo_bytes = motivo_table.paper_equivalent_bytes()
     disk_bytes = store.bytes_on_disk()
     return cc_bytes, motivo_bytes, disk_bytes, cc_table.total_pairs(), (
@@ -91,7 +94,9 @@ def test_table_count_table_size(benchmark, tmp_path):
 
         build_table(
             graph, coloring,
-            spill=SpillStore(str(tmp_path / uuid.uuid4().hex)),
+            store=SpillLayerStore(
+                SpillStore(str(tmp_path / uuid.uuid4().hex))
+            ),
         )
 
     benchmark.pedantic(build_spilled, rounds=3, iterations=1)

@@ -9,6 +9,10 @@
     matrix–matrix product per (level, source layer) and realizes the
     recurrence through precompiled combination plans; the original
     per-key loop survives as ``kernel="legacy"``, bit-identical.
+``level``
+    One level of the recurrence over a column set — the kernel the
+    in-memory, sharded and incremental build drivers share, each with
+    its own source reader.
 ``plans``
     The build-up kernel's compiler: per-level combination plans (row
     index matrices, selection LUTs) from the treelet registry.

@@ -4,9 +4,11 @@ Today's pipeline treats the count table as write-once: any edge change
 invalidates :meth:`~repro.graph.graph.Graph.fingerprint` and forces a
 full color-coding rebuild.  This module instead maintains the table as a
 **materialized view** of the Equation (1) dynamic program: a batch of
-edge insertions/deletions re-runs the batched combination plans only on
-the *touched-column frontier*, and the result is bit-identical to a
-fresh rebuild on the updated graph under the same coloring.
+edge insertions/deletions re-runs the shared level step
+(:func:`repro.colorcoding.level.run_level`) only on the *touched-column
+frontier* — the delta is the same operator over a restricted input —
+and the result is bit-identical to a fresh rebuild on the updated graph
+under the same coloring.
 
 Touched-column frontier.  ``c(T_C, v)`` at level ``h`` reads level
 ``h' < h`` counts at ``v`` itself and neighbor sums at ``u ~ v``, so a
@@ -19,26 +21,12 @@ propagates outward along it, so both incidence structures bound the
 blast radius.  Level 1 (the per-color indicator rows) never changes
 under pure edge updates.
 
-Bit-identity argument (the PR 7 column-restriction argument, reused).
-Three facts make the column-restricted recomputation exact, not just
-approximately right:
-
-1. Every per-column operation of the batched kernel — plan gathers,
-   selection lookups, the fused einsum contraction, β division — is
-   elementwise over the vertex axis, so running it on the frontier
-   columns produces exactly the bytes the full run would put there.
-2. The restricted neighbor sums replay ``csr_matvecs`` over the
-   frontier rows of the adjacency with columns remapped to the sorted
-   halo; each output element sees its additions in ascending neighbor
-   order — the one-shot SpMM's exact floating-point sequence
-   (:func:`repro.colorcoding.sharded._streamed_spmm`'s whole-halo
-   argument).
-3. Counts are nonnegative, so the fresh build's keep test ("row sum
-   > 0") decomposes exactly into *any nonzero outside the frontier*
-   (old data, unchanged by induction) OR *any nonzero inside* (the
-   recomputed block) — the keep sets agree, and with them the layer
-   key lists, the full/fallback mode decisions of every later level,
-   and the sealed CSR records.
+Each level's reader answers from the frontier rows of the new adjacency
+and only the halo columns of the source layers (dense or succinct), so
+the work scales with the frontier's neighborhood, not with ``n``.  Why
+the restricted recomputation is exact — and why the keep sets, hence
+the key lists and every later level's mode, match the fresh build's —
+is argued once in :mod:`repro.colorcoding.level`.
 
 Untouched columns are untouched bytes: dense layers copy the surviving
 rows and patch only the frontier columns; sealed
@@ -55,20 +43,19 @@ names deliberately distinct from the build counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
-from repro.colorcoding.buildup import (
-    _csr_row_subset,
-    _exec_compiled,
-    _exec_group,
-    _exec_resolved,
-    _spmm,
-)
 from repro.colorcoding.coloring import ColoringScheme
-from repro.colorcoding.plans import compile_plans, level_plans
+from repro.colorcoding.level import (
+    augmented,
+    check_build_args,
+    halo_spmm,
+    level_mode,
+    run_level,
+)
+from repro.colorcoding.plans import compile_plans, level_source_sizes
 from repro.errors import BuildError
 from repro.graph.graph import Graph
 from repro.table.count_table import (
@@ -196,122 +183,40 @@ def _column_block(layer: LayerView, cols: np.ndarray) -> np.ndarray:
     return block
 
 
-def _restricted_rows(adjacency, rows: np.ndarray):
-    """``adjacency[rows]`` with columns remapped onto the sorted halo.
+class _FrontierReader:
+    """Neighbor sums at frontier rows from only their halo columns.
 
-    Returns ``(piece, halo)`` where ``piece`` is a CSR over the halo
-    columns; the remap is monotone, so each row's axpy order — and with
-    it the floating-point sum — matches the unrestricted SpMM exactly.
+    Source layers are read through :func:`_column_block` (dense or
+    succinct) at the halo alone, so each answer costs work proportional
+    to the frontier's neighborhood, not to ``n``.
     """
-    sub = _csr_row_subset(adjacency, rows)
-    halo, halo_cols = np.unique(sub.indices, return_inverse=True)
-    piece = sparse.csr_matrix(
-        (sub.data, halo_cols.reshape(-1), sub.indptr),
-        shape=(rows.size, halo.size),
-    )
-    return piece, halo
 
+    def __init__(
+        self, table: CountTable, adjacency, instrumentation: Instrumentation
+    ):
+        self.table = table
+        self.adjacency = adjacency
+        self.instrumentation = instrumentation
 
-def _neighbor_block(
-    adjacency,
-    layer: LayerView,
-    rows: np.ndarray,
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """Augmented ``(num_keys + 1, len(rows))`` restricted neighbor sums.
+    def neighbor_block(self, size: int, rows: np.ndarray) -> np.ndarray:
+        return augmented(self.subset_sums(size, rows, None))
 
-    The frontier counterpart of
-    :func:`repro.colorcoding.buildup._neighbor_matrix`: the same values
-    as ``_neighbor_matrix(adjacency, counts)[:, rows]`` bit for bit,
-    computed from only the halo columns of the source layer, with the
-    trailing all-zero sentinel row the selection lookups rely on.
-    """
-    instrumentation.count("spmm_ops")
-    piece, halo = _restricted_rows(adjacency, rows)
-    operand = np.ascontiguousarray(_column_block(layer, halo).T)
-    sums = _spmm(piece, operand)
-    augmented = np.empty((layer.num_keys + 1, rows.size), dtype=np.float64)
-    augmented[:-1] = sums.T
-    augmented[-1] = 0.0
-    return augmented
+    def subset_sums(
+        self, size: int, rows: np.ndarray, key_rows: Optional[np.ndarray]
+    ) -> np.ndarray:
+        self.instrumentation.count("spmm_ops")
+        layer = self.table.layer(size)
 
+        def gather(halo: np.ndarray) -> np.ndarray:
+            block = _column_block(layer, halo)
+            if key_rows is not None:
+                block = block[key_rows]
+            return np.ascontiguousarray(block.T)
 
-def _restricted_sums(
-    adjacency,
-    layer: LayerView,
-    rows: np.ndarray,
-    row_subset: np.ndarray,
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """``(len(rows), len(row_subset))`` neighbor sums over selected keys.
+        return halo_spmm(self.adjacency, rows, gather)
 
-    Mirrors the sharded ``_streamed_spmm(..., row_subset=...)`` call the
-    zero-rooted selection groups make: only the layer rows the color-0
-    lookup actually reads enter the SpMM.
-    """
-    instrumentation.count("spmm_ops")
-    piece, halo = _restricted_rows(adjacency, rows)
-    operand = np.ascontiguousarray(_column_block(layer, halo)[row_subset].T)
-    return _spmm(piece, operand)
-
-
-def _exec_zero_restricted(
-    clevel,
-    shim: CountTable,
-    sources: Dict[int, LayerView],
-    adjacency,
-    cols: np.ndarray,
-    colors_local: np.ndarray,
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """The zero-rooted size-``k`` level on the frontier columns.
-
-    Mirrors ``_exec_zero_shard`` with an arbitrary column set instead of
-    a contiguous shard: selection groups run one restricted SpMM over
-    exactly the rows the color-0 lookup reads, contraction groups
-    contract the frontier's color-0 columns against restricted neighbor
-    sums.  Non-color-0 columns stay exactly ``0.0``, as in the full
-    kernel.
-    """
-    width = cols.size
-    out = np.zeros((len(clevel.keys), width), dtype=np.float64)
-    zero_local = np.flatnonzero(colors_local == 0)
-    if zero_local.size == 0:
-        return out
-    zero_rows = cols[zero_local]
-    prime_cols: Dict[int, np.ndarray] = {}
-    for group in clevel.groups:
-        instrumentation.count("merge_ops", group.prime_rows.size)
-        if group.select_lut is not None:
-            slots_zero, rows_zero = group.color_slots[0]
-            if slots_zero.size:
-                values = _restricted_sums(
-                    adjacency, sources[group.h_second], zero_rows,
-                    rows_zero, instrumentation,
-                )
-                rows = group.out_rows[slots_zero]
-                divisors = clevel.betas[rows] > 1.0
-                acc = values.T
-                if divisors.any():
-                    acc = acc.copy()
-                    acc[divisors] /= clevel.betas[rows][divisors, None]
-                out[np.ix_(rows, zero_local)] = acc
-            continue
-        if group.h_prime not in prime_cols:
-            prime_cols[group.h_prime] = np.ascontiguousarray(
-                shim.layer(group.h_prime).counts[:, zero_local]
-            )
-        second = _neighbor_block(
-            adjacency, sources[group.h_second], zero_rows, instrumentation
-        )
-        acc = _exec_group(
-            group, prime_cols[group.h_prime], second, colors_local[zero_local]
-        )
-        divisors = clevel.betas[group.out_rows] > 1.0
-        if divisors.any():
-            acc[divisors] /= clevel.betas[group.out_rows][divisors, None]
-        out[np.ix_(group.out_rows, zero_local)] = acc
-    return out
+    def release(self, block: np.ndarray) -> None:
+        pass
 
 
 def _patched_layer(
@@ -327,12 +232,13 @@ def _patched_layer(
 
     ``candidate_keys`` is the level's sorted key universe and
     ``out_block`` its recomputed counts at the frontier ``cols``.  The
-    keep set decomposes exactly (module docstring, fact 3); dense layers
-    patch the frontier columns (in place when the caller owns the table
-    and the key set is unchanged — the steady-state trickle path, which
-    does column-local work instead of copying the matrix), succinct
-    layers re-seal only frontier vertex records and splice the rest with
-    key rows remapped through the (monotone) keep map.
+    keep set decomposes exactly (:mod:`repro.colorcoding.level`, fact
+    3); dense layers patch the frontier columns (in place when the
+    caller owns the table and the key set is unchanged — the
+    steady-state trickle path, which does column-local work instead of
+    copying the matrix), succinct layers re-seal only frontier vertex
+    records and splice the rest with key rows remapped through the
+    (monotone) keep map.
 
     The dense keep test reads :meth:`DenseLayer.row_totals` minus the
     frontier row sums instead of scanning the off-frontier matrix:
@@ -462,18 +368,12 @@ def apply_edge_updates(
     """
     k = table.k
     n = table.num_vertices
-    if graph.num_vertices != n:
+    if coloring.k != k or graph.num_vertices != n:
         raise BuildError(
-            f"table covers {n} vertices, graph has {graph.num_vertices}"
+            f"table covers k={k} over {n} vertices; got k={coloring.k} "
+            f"over a {graph.num_vertices}-vertex graph"
         )
-    if coloring.k != k or coloring.num_vertices != n:
-        raise BuildError(
-            f"coloring is for k={coloring.k} over {coloring.num_vertices} "
-            f"vertices; table wants k={k} over {n}"
-        )
-    registry = registry or TreeletRegistry(k)
-    if registry.k != k:
-        raise BuildError(f"registry is for k={registry.k}, table for k={k}")
+    registry = check_build_args(graph, coloring, registry)
     instrumentation = instrumentation or Instrumentation()
 
     with instrumentation.timer("delta_propagate"):
@@ -483,89 +383,33 @@ def apply_edge_updates(
         new_graph, _touched = graph.apply_updates(updates)
         balls = touched_frontiers(graph, new_graph, endpoints, k)
         adjacency = new_graph.adjacency_csr()
-        colors = coloring.colors
-        compiled = compile_plans(registry)
-        plans = level_plans(registry)
-        universe_sizes = {h: len(compiled[h].keys) for h in range(2, k + 1)}
-        universe_sizes[1] = k
         zero_rooted = table.zero_rooted
-
         new_table = CountTable(k, n, zero_rooted=zero_rooted)
         new_table.set_layer(table.layer(1))
+        reader = _FrontierReader(new_table, adjacency, instrumentation)
         rows_touched = 0
         for h in range(2, k + 1):
-            clevel = compiled[h]
             cols = balls[h - 2]
-            width = cols.size
-            rows_touched += width
-            source_sizes = sorted(
-                {g.h_second for g in clevel.groups}
-                | {g.h_prime for g in clevel.groups}
+            rows_touched += cols.size
+            mode = level_mode(
+                registry, h, lambda size: new_table.layer(size).num_keys,
+                zero_rooted, instrumentation,
             )
-            sources = {size: new_table.layer(size) for size in source_sizes}
-            # Mode selection must mirror _run_batched exactly; the keep
-            # sets agree by induction, so the decisions coincide with
-            # the fresh build's.
-            full = all(
-                sources[size].num_keys == universe_sizes[size]
-                for size in source_sizes
-            )
-            colors_local = np.ascontiguousarray(colors[cols])
-            shim = CountTable(k, width, False)
-            for size in source_sizes:
+            shim = CountTable(k, cols.size, False)
+            for size in level_source_sizes(registry, h):
+                source = new_table.layer(size)
                 shim.set_layer(
-                    Layer(
-                        size,
-                        list(sources[size].keys),
-                        _column_block(sources[size], cols),
-                    )
+                    Layer(size, list(source.keys), _column_block(source, cols))
                 )
-            if h == k and zero_rooted and full:
-                out = _exec_zero_restricted(
-                    clevel, shim, sources, adjacency, cols, colors_local,
-                    instrumentation,
-                )
-                keys: List[Key] = list(clevel.keys)
-            elif full:
-                neighbor_sums = {
-                    size: _neighbor_block(
-                        adjacency, sources[size], cols, instrumentation
-                    )
-                    for size in source_sizes
-                }
-                out = _exec_compiled(
-                    shim, clevel, colors_local,
-                    np.arange(width, dtype=np.int64), neighbor_sums, {},
-                    instrumentation,
-                )
-                keys = list(clevel.keys)
-            else:
-                instrumentation.count("fallback_levels")
-                plan = plans[h]
-                neighbor_sums = {
-                    size: _neighbor_block(
-                        adjacency, sources[size], cols, instrumentation
-                    )
-                    for size in source_sizes
-                }
-                out = _exec_resolved(
-                    shim, plan, neighbor_sums, instrumentation
-                )
-                if h == k and zero_rooted:
-                    out *= (colors_local == 0).astype(np.float64)
-                # The plan's enumeration order and the sorted universe
-                # hold the same key set; canonicalize to sorted so the
-                # patching below is order-independent.
-                perm = sorted(
-                    range(len(plan.out_keys)),
-                    key=lambda i: plan.out_keys[i],
-                )
-                out = out[perm]
-                keys = [plan.out_keys[i] for i in perm]
+            out = run_level(
+                registry, h, mode, zero_rooted, shim,
+                coloring.colors[cols], cols, reader,
+                instrumentation,
+            )
             new_table.set_layer(
                 _patched_layer(
-                    h, table.layer(h), keys, out, cols, n,
-                    in_place=in_place,
+                    h, table.layer(h), list(compile_plans(registry)[h].keys),
+                    out, cols, n, in_place=in_place,
                 )
             )
             del out

@@ -2,42 +2,32 @@
 
 :func:`repro.colorcoding.buildup.build_table` computes each level's full
 ``num_keys × n`` count matrix in one piece; at SNAP scale that single
-matrix is the memory wall.  This module runs the same Equation (1)
-recurrence *shard by shard*: the vertex axis is partitioned into the
-contiguous ranges of a :class:`~repro.table.layer_store.ShardedStore`,
-each level is computed one vertex-range block at a time under a hard
-byte budget, finished blocks go straight to disk through crash-safe
-``.tmp-<pid>`` → rename commits, and the finished table is assembled
-from the committed blocks without the full matrix ever being resident.
+matrix is the memory wall.  This module runs the same recurrence *shard
+by shard*: the vertex axis is partitioned into the contiguous ranges of
+a :class:`~repro.table.layer_store.ShardedStore`, each level is computed
+one vertex-range block at a time under a hard byte budget, finished
+blocks go straight to disk through crash-safe ``.tmp-<pid>`` → rename
+commits, and the finished table is assembled from the committed blocks
+without the full matrix ever being resident.
 
-Bit-identity.  The sharded build produces *exactly* the bytes of the
-in-memory build for the same coloring — not approximately, bit for bit:
-
-* Every per-column operation of the batched kernel (plan contractions,
-  selection lookups, β division, the zero-rooting mask) is elementwise
-  over the vertex axis, so a column block equals the same columns of the
-  full-matrix result trivially.
-* The neighbor sums are the one cross-column step.  They stream over the
-  source layer's shards in ascending vertex order, each shard's
-  contribution accumulating into a single output buffer through the same
-  ``csr_matvecs`` per-row axpy loop one full SpMM runs.  Neighbor lists
-  are sorted, so the additions hitting any output element happen in
-  ascending-neighbor order either way — the identical floating-point
-  sequence, hence identical bits.  (When scipy's private
-  ``_sparsetools`` module is unavailable the stream degrades to a single
-  whole-halo gather and one SpMM call — same sequence, more transient
-  memory.)
-* The keep-this-key decision ``Σ_v out[key, v] > 0`` is an
-  association-invariant predicate for nonnegative floats (a partial sum
-  never decreases), so OR-ing per-shard positivity bitmaps reproduces
-  the full-matrix keep set exactly.
+A shard task is one call of the shared level step
+:func:`repro.colorcoding.level.run_level` on the shard's columns.  Its
+prime-side blocks are the shard's own committed source blocks; its
+reader streams the neighbor sums across the source layer's shards in
+ascending vertex order, each shard's contribution accumulating into one
+output buffer through the ``csr_matvecs`` loop a full SpMM runs — so
+the table is bit-identical to the in-memory build's (the argument is in
+:mod:`repro.colorcoding.level`).  When scipy's private ``_sparsetools``
+module is unavailable the stream degrades to a single whole-halo gather
+and one SpMM call — same sequence, more transient memory.  Keep
+decisions are per-shard positivity bitmaps, OR-ed by the parent.
 
 Memory budget.  ``memory_budget`` bytes bound the build's working set.
 :func:`plan_shards` picks the smallest shard count whose per-level
 working set fits under the budget (raising
 :class:`~repro.errors.MemoryBudgetError` when none does), and every
 significant allocation at run time — source blocks, halo gathers,
-neighbor-sum matrices, output blocks, compaction and assembly buffers —
+neighbor-sum blocks, output blocks, compaction and assembly buffers —
 is tracked against a :class:`MemoryBudget`, which fails loud rather than
 overshooting.  Reads are buffered (``seek`` + ``fromfile``), never
 memory-mapped, so pages do not linger in the resident set; only the
@@ -55,30 +45,31 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from scipy import sparse
 
-from repro.colorcoding.buildup import (
-    _csr_row_subset,
-    _exec_compiled,
-    _exec_group,
-    _exec_resolved,
-    _scipy_sparsetools,
-)
 from repro.colorcoding.coloring import ColoringScheme
+from repro.colorcoding.level import (
+    _csr_row_subset,
+    _scipy_sparsetools,
+    augmented,
+    check_build_args,
+    halo_spmm,
+    level_mode,
+    run_level,
+)
 from repro.colorcoding.plans import (
     compile_plans,
     full_universe_keys,
-    level_plans,
     level_source_sizes,
 )
 from repro.engine.pipeline import derive_child_seeds, execute_tasks
 from repro.errors import BuildError, MemoryBudgetError
 from repro.graph.graph import Graph
-from repro.table.count_table import LAYOUTS, CountTable, Layer
+from repro.table.count_table import CountTable, Layer
 from repro.table.layer_store import ShardedStore
 from repro.telemetry.tracing import span as _trace_span
 from repro.treelets.registry import TreeletRegistry
@@ -161,13 +152,15 @@ class MemoryBudget:
 def _level_cost_per_column(registry: TreeletRegistry, h: int) -> int:
     """Working-set bytes per output column at level ``h``, upper bound.
 
-    Counts the float64 rows simultaneously resident while one shard of
+    Bounds the float64 rows simultaneously resident while one shard of
     level ``h`` executes: the output block and its compaction copy
-    (``2 U_h``), every source layer's local block plus its augmented
-    neighbor-sum matrix (``2 U_s + 1`` each), and two transient
-    source-shard buffers (the streamed block and its halo gather) sized
-    by the widest source layer.  Universe sizes bound the actual (kept)
-    key counts from above.
+    (``2 U_h``), every source layer's local block plus room for one
+    more copy of it (``2 U_s + 1`` each — the kernel holds one augmented
+    neighbor-sum block at a time, and the zero-rooted level a color-0
+    copy of each prime-side block), and two transient source-shard
+    buffers (the streamed block and its halo gather) sized by the
+    widest source layer.  Universe sizes bound the actual (kept) key
+    counts from above.
     """
     universe = {
         s: len(full_universe_keys(registry, s))
@@ -300,25 +293,6 @@ def _run_shard_task(task: _ShardTask):
     return _execute_shard(_SHARD_STATE["ctx"], task)
 
 
-def _disk_keys(ctx: _BuildContext, size: int) -> List[Key]:
-    """A source layer's keys, reopened from the store's shared key file."""
-    key_array = np.load(ctx.store._key_path(size))
-    return [(int(t), int(mask)) for t, mask in key_array]
-
-
-def _read_block(
-    ctx: _BuildContext,
-    size: int,
-    shard: int,
-    num_keys: int,
-    width: int,
-    budget: MemoryBudget,
-) -> np.ndarray:
-    """One committed shard block, read buffered and charged to the budget."""
-    budget.allocate(f"layer-{size} shard block", num_keys * width * 8)
-    return np.load(ctx.store._shard_path(size, shard))
-
-
 def _streamed_spmm(
     ctx: _BuildContext,
     row_ids: np.ndarray,
@@ -404,8 +378,12 @@ def _streamed_spmm(
                 )
         return result
     # Whole-halo fallback: one gather, one SpMM — identical bits.
-    halo, halo_cols = np.unique(edge_cols, return_inverse=True)
-    with budget.hold(f"layer-{size} whole halo", halo.size * num_vecs * 8):
+    charged: List[int] = []
+
+    def gather(halo: np.ndarray) -> np.ndarray:
+        charged.append(budget.allocate(
+            f"layer-{size} whole halo", halo.size * num_vecs * 8
+        ))
         operand = np.empty((halo.size, num_vecs), dtype=np.float64)
         for t in range(ctx.store.num_shards):
             lo_t, hi_t = int(bounds[t]), int(bounds[t + 1])
@@ -423,113 +401,54 @@ def _streamed_spmm(
                     operand[in_shard] = block[
                         np.ix_(row_subset, halo[in_shard] - lo_t)
                     ].T
-        piece = sparse.csr_matrix(
-            (edge_data, halo_cols.reshape(-1), local_ptr),
-            shape=(row_ids.size, halo.size),
-        )
-        result[:] = piece.dot(operand)
+        return operand
+
+    result[:] = halo_spmm(adjacency, row_ids, gather)
+    budget.release(charged[0])
     return result
 
 
-def _neighbor_block(
-    ctx: _BuildContext,
-    size: int,
-    num_keys: int,
-    row_ids: np.ndarray,
-    budget: MemoryBudget,
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """The augmented ``(num_keys + 1, len(row_ids))`` neighbor-sum block.
+class _ShardReader:
+    """Neighbor sums streamed across the store's committed shards.
 
-    The sharded counterpart of ``_neighbor_matrix``: rows ``row_ids`` of
-    the full matrix plus the trailing all-zero sentinel the selection
-    lookups point "no such key" at.
+    Every answer is one :func:`_streamed_spmm` charged to the task's
+    budget; :meth:`release` returns a block's charge.
     """
-    instrumentation.count("spmm_ops")
-    sums = _streamed_spmm(ctx, row_ids, size, num_keys, budget)
-    budget.allocate(
-        f"layer-{size} augmented sums", (num_keys + 1) * row_ids.size * 8
-    )
-    augmented = np.empty((num_keys + 1, row_ids.size), dtype=np.float64)
-    augmented[:-1] = sums.T
-    augmented[-1] = 0.0
-    budget.release(sums.nbytes)
-    del sums
-    return augmented
 
+    def __init__(
+        self,
+        ctx: _BuildContext,
+        shim: CountTable,
+        budget: MemoryBudget,
+        instrumentation: Instrumentation,
+    ):
+        self.ctx = ctx
+        self.shim = shim
+        self.budget = budget
+        self.instrumentation = instrumentation
 
-def _exec_zero_shard(
-    ctx: _BuildContext,
-    task: _ShardTask,
-    clevel,
-    shim: CountTable,
-    colors_local: np.ndarray,
-    budget: MemoryBudget,
-    instrumentation: Instrumentation,
-) -> np.ndarray:
-    """One shard of the zero-rooted size-``k`` level.
-
-    Mirrors ``_exec_compiled_zero_rooted`` restricted to this shard's
-    color-0 columns: selection groups run one streamed restricted SpMM
-    over exactly the layer rows the color-0 lookup reads, contraction
-    groups contract the shard's color-0 columns against streamed
-    restricted neighbor sums.  Restricting an SpMM to a row subset
-    replays those rows' axpy sequences unchanged, so the block matches
-    the same columns of the in-memory level bit for bit — whether the
-    in-memory kernel served the group from its full-matrix cache or from
-    its own restricted SpMM.
-    """
-    width = task.hi - task.lo
-    budget.allocate("zero-rooted out block", len(clevel.keys) * width * 8)
-    out = np.zeros((len(clevel.keys), width), dtype=np.float64)
-    zero_local = np.flatnonzero(colors_local == 0)
-    if zero_local.size == 0:
-        return out
-    zero_rows = task.lo + zero_local
-    prime_cols: Dict[int, np.ndarray] = {}
-    for group in clevel.groups:
-        instrumentation.count("merge_ops", group.prime_rows.size)
-        if group.select_lut is not None:
-            slots_zero, rows_zero = group.color_slots[0]
-            if slots_zero.size:
-                instrumentation.count("spmm_ops")
-                values = _streamed_spmm(
-                    ctx, zero_rows, group.h_second,
-                    shim.layer(group.h_second).num_keys, budget,
-                    row_subset=rows_zero,
-                )
-                rows = group.out_rows[slots_zero]
-                divisors = clevel.betas[rows] > 1.0
-                acc = values.T
-                if divisors.any():
-                    acc = acc.copy()
-                    acc[divisors] /= clevel.betas[rows][divisors, None]
-                out[np.ix_(rows, zero_local)] = acc
-                budget.release(values.nbytes)
-                del values, acc
-            continue
-        if group.h_prime not in prime_cols:
-            counts = shim.layer(group.h_prime).counts
-            budget.allocate(
-                "zero-rooted prime columns", counts.shape[0] * zero_local.size * 8
-            )
-            prime_cols[group.h_prime] = np.ascontiguousarray(
-                counts[:, zero_local]
-            )
-        second = _neighbor_block(
-            ctx, group.h_second, shim.layer(group.h_second).num_keys,
-            zero_rows, budget, instrumentation,
+    def neighbor_block(self, size: int, rows: np.ndarray) -> np.ndarray:
+        self.instrumentation.count("spmm_ops")
+        num_keys = self.shim.layer(size).num_keys
+        sums = _streamed_spmm(self.ctx, rows, size, num_keys, self.budget)
+        self.budget.allocate(
+            f"layer-{size} augmented sums", (num_keys + 1) * rows.size * 8
         )
-        acc = _exec_group(
-            group, prime_cols[group.h_prime], second, colors_local[zero_local]
+        block = augmented(sums)
+        self.budget.release(sums.nbytes)
+        return block
+
+    def subset_sums(
+        self, size: int, rows: np.ndarray, key_rows: np.ndarray
+    ) -> np.ndarray:
+        self.instrumentation.count("spmm_ops")
+        return _streamed_spmm(
+            self.ctx, rows, size, self.shim.layer(size).num_keys,
+            self.budget, row_subset=key_rows,
         )
-        divisors = clevel.betas[group.out_rows] > 1.0
-        if divisors.any():
-            acc[divisors] /= clevel.betas[group.out_rows][divisors, None]
-        out[np.ix_(group.out_rows, zero_local)] = acc
-        budget.release(second.nbytes)
-        del second, acc
-    return out
+
+    def release(self, block: np.ndarray) -> None:
+        self.budget.release(block.nbytes)
 
 
 def _execute_shard(ctx: _BuildContext, task: _ShardTask):
@@ -541,53 +460,28 @@ def _execute_shard(ctx: _BuildContext, task: _ShardTask):
     """
     budget = MemoryBudget(ctx.budget_limit)
     instrumentation = Instrumentation()
-    registry = ctx.registry
     lo, hi = task.lo, task.hi
     width = hi - lo
     colors_local = np.ascontiguousarray(ctx.colors[lo:hi])
-    source_sizes = level_source_sizes(registry, task.h)
+    # The zero-rooted level also copies the color-0 columns of its
+    # prime-side blocks; their charge rides on the block's.
+    copied = int(np.count_nonzero(colors_local == 0)) if task.mode == "zero" else 0
     shim = CountTable(ctx.k, width, False)
-    source_keys: Dict[int, List[Key]] = {}
-    for size in source_sizes:
-        keys = _disk_keys(ctx, size)
-        source_keys[size] = keys
-        block = _read_block(ctx, size, task.shard, len(keys), width, budget)
+    for size in level_source_sizes(ctx.registry, task.h):
+        key_array = np.load(ctx.store._key_path(size))
+        keys = [(int(t), int(mask)) for t, mask in key_array]
+        budget.allocate(
+            f"layer-{size} shard block", len(keys) * (width + copied) * 8
+        )
+        block = np.load(ctx.store._shard_path(size, task.shard))
         shim.set_layer(Layer(size, keys, block))
-    if task.mode == "zero":
-        clevel = compile_plans(registry)[task.h]
-        out = _exec_zero_shard(
-            ctx, task, clevel, shim, colors_local, budget, instrumentation
-        )
-    elif task.mode == "full":
-        clevel = compile_plans(registry)[task.h]
-        row_ids = np.arange(lo, hi, dtype=np.int64)
-        neighbor_sums = {
-            size: _neighbor_block(
-                ctx, size, len(source_keys[size]), row_ids, budget,
-                instrumentation,
-            )
-            for size in source_sizes
-        }
-        budget.allocate("out block", len(clevel.keys) * width * 8)
-        out = _exec_compiled(
-            shim, clevel, colors_local,
-            np.arange(width, dtype=np.int64), neighbor_sums, {},
-            instrumentation,
-        )
-    else:
-        plan = level_plans(registry)[task.h]
-        row_ids = np.arange(lo, hi, dtype=np.int64)
-        neighbor_sums = {
-            size: _neighbor_block(
-                ctx, size, len(source_keys[size]), row_ids, budget,
-                instrumentation,
-            )
-            for size in source_sizes
-        }
-        budget.allocate("out block", len(plan.out_keys) * width * 8)
-        out = _exec_resolved(shim, plan, neighbor_sums, instrumentation)
-        if task.h == ctx.k and ctx.zero_rooting:
-            out *= (colors_local == 0).astype(np.float64)
+    num_keys = len(compile_plans(ctx.registry)[task.h].keys)
+    budget.allocate("out block", num_keys * width * 8)
+    out = run_level(
+        ctx.registry, task.h, task.mode, ctx.zero_rooting, shim,
+        colors_local, np.arange(lo, hi, dtype=np.int64),
+        _ShardReader(ctx, shim, budget, instrumentation), instrumentation,
+    )
     # Nonnegative counts: a positive row sum within the shard flags "some
     # nonzero column here"; the parent ORs the shard bitmaps into the
     # exact full-matrix keep set.
@@ -631,21 +525,7 @@ def build_table_sharded(
     must stay open for the table's lifetime (close it when done — the
     caller owns it).
     """
-    k = coloring.k
-    if k < 2:
-        raise BuildError("build-up needs k >= 2")
-    if coloring.num_vertices != graph.num_vertices:
-        raise BuildError(
-            f"coloring covers {coloring.num_vertices} vertices, graph has "
-            f"{graph.num_vertices}"
-        )
-    registry = registry or TreeletRegistry(k)
-    if registry.k != k:
-        raise BuildError(f"registry is for k={registry.k}, coloring for k={k}")
-    if layout not in LAYOUTS:
-        raise BuildError(
-            f"unknown table layout {layout!r}; choose from {LAYOUTS}"
-        )
+    registry = check_build_args(graph, coloring, registry, layout)
     if store is None or store.directory is None:
         raise BuildError(
             "the sharded build needs a directory-backed ShardedStore"
@@ -660,13 +540,11 @@ def build_table_sharded(
     instrumentation = instrumentation or Instrumentation()
     store.reap_stale_tmp()
 
+    k = coloring.k
     n = graph.num_vertices
     colors = coloring.colors
     bounds = store.shard_bounds(n)
     num_shards = store.num_shards
-    compiled = compile_plans(registry)
-    universe_sizes = {h: len(compiled[h].keys) for h in range(2, k + 1)}
-    universe_sizes[1] = k
     context = _BuildContext(
         graph, colors, k, zero_rooting, store, budget.limit
     )
@@ -705,22 +583,11 @@ def build_table_sharded(
 
         max_width = int(np.max(np.diff(bounds))) if n else 0
         for h in range(2, k + 1):
-            source_sizes = level_source_sizes(registry, h)
-            full = all(
-                len(store.layer_keys(size)) == universe_sizes[size]
-                for size in source_sizes
+            mode = level_mode(
+                registry, h, lambda size: len(store.layer_keys(size)),
+                zero_rooting, instrumentation,
             )
-            zero_restricted = h == k and zero_rooting and full
-            mode = (
-                "zero" if zero_restricted else "full" if full else "fallback"
-            )
-            if mode == "fallback":
-                instrumentation.count("fallback_levels")
-            level_keys = (
-                list(compiled[h].keys)
-                if mode != "fallback"
-                else list(level_plans(registry)[h].out_keys)
-            )
+            level_keys = list(compile_plans(registry)[h].keys)
             tasks = [
                 _ShardTask(
                     h=h,
@@ -752,18 +619,12 @@ def build_table_sharded(
                 instrumentation.count("shard_tasks")
             keep = np.flatnonzero(bitmap)
             store.register_layer(h, level_keys, bounds)
-            # Final row order is key-ascending, exactly like the Layer
-            # constructor sorts the in-memory install.
-            order = sorted(range(keep.size), key=lambda j: level_keys[keep[j]])
-            keep_order = (
-                keep[np.asarray(order, dtype=np.int64)] if keep.size else keep
-            )
-            kept_keys = [level_keys[i] for i in keep_order]
+            kept_keys = [level_keys[i] for i in keep]
             if kept_keys != level_keys:
                 with budget.hold(
                     "level compaction", 2 * len(level_keys) * max_width * 8
                 ):
-                    store.compact_layer(h, keep_order, kept_keys)
+                    store.compact_layer(h, keep, kept_keys)
 
     # Assembly: the finished CountTable, one layer at a time.
     table = CountTable(k, n, zero_rooting)

@@ -98,11 +98,14 @@ class Graph:  # repro: pool-transport
         ----------
         edges:
             Edge endpoints; order and duplicates do not matter, self-loops
-            are dropped.
+            are dropped.  An ``(m, 2)`` array is read directly, without
+            the per-pair list round-trip an iterable takes.
         n:
             Number of vertices.  Defaults to ``1 + max endpoint``.
         """
-        pairs = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:

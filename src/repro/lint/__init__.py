@@ -1,6 +1,6 @@
 """``repro.lint`` — AST-level invariant checks for the repro codebase.
 
-Run ``python -m repro.lint src tools benchmarks`` (or
+Run ``python -m repro.lint src tools benchmarks perfbench`` (or
 ``tools/run_lint.py``); the rule catalog is documented in
 ``docs/static-analysis.md``.
 """

@@ -17,7 +17,7 @@ from repro.lint.core import lint_paths
 
 __all__ = ["main"]
 
-_DEFAULT_PATHS = ("src", "tools", "benchmarks")
+_DEFAULT_PATHS = ("src", "tools", "benchmarks", "perfbench")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -48,7 +48,6 @@ __all__ = [
     "InMemoryStore",
     "SpillLayerStore",
     "ShardedStore",
-    "resolve_store",
     "read_npy_rows",
 ]
 
@@ -517,19 +516,3 @@ class ShardedStore(LayerStore):
         assert self.directory is not None
         return os.path.join(self.directory, f"layer_{size}.full.npy")
 
-
-def resolve_store(
-    store: Optional[LayerStore], spill: Optional[SpillStore]
-) -> LayerStore:
-    """Normalize build_table's storage arguments to one LayerStore.
-
-    ``spill`` is the pre-LayerStore spelling kept for compatibility; it is
-    equivalent to ``store=SpillLayerStore(spill)``.
-    """
-    if store is not None and spill is not None:
-        raise TableError("pass either store= or spill=, not both")
-    if store is not None:
-        return store
-    if spill is not None:
-        return SpillLayerStore(spill)
-    return InMemoryStore()

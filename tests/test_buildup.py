@@ -28,6 +28,7 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.table.flush import SpillStore
+from repro.table.layer_store import SpillLayerStore
 from repro.treelets.encoding import getsize
 from repro.util.instrument import Instrumentation
 
@@ -194,7 +195,9 @@ class TestSpill:
         coloring = ColoringScheme.uniform(20, 4, rng=14)
         plain = build_table(graph, coloring)
         store = SpillStore(str(tmp_path / "spill"))
-        spilled = build_table(graph, coloring, spill=store)
+        spilled = build_table(
+            graph, coloring, store=SpillLayerStore(store)
+        )
         for h in range(1, 5):
             a, b = plain.layer(h), spilled.layer(h)
             assert a.keys == b.keys

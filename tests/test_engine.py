@@ -19,6 +19,7 @@ from repro.engine import EnsembleResult, PipelineEngine, derive_child_seeds
 from repro.graph.generators import erdos_renyi
 from repro.motivo import MotivoConfig, MotivoCounter
 from repro.table.flush import SpillStore
+from repro.table.layer_store import SpillLayerStore
 from repro.util.instrument import Instrumentation
 
 
@@ -55,7 +56,10 @@ class TestKernelEquivalence:
         for kernel in kernel_pair:
             store = SpillStore(str(tmp_path / kernel))
             tables.append(
-                build_table(graph, coloring, spill=store, kernel=kernel)
+                build_table(
+                    graph, coloring, store=SpillLayerStore(store),
+                    kernel=kernel,
+                )
             )
         assert_bit_identical(tables[0], tables[1], 4)
         assert isinstance(tables[0].layer(4).counts, np.memmap)

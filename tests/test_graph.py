@@ -54,6 +54,32 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph.from_edges([(0, 5)], n=3)
 
+    @pytest.mark.parametrize(
+        "edges, n",
+        [
+            ([(0, 1), (1, 0), (0, 1), (2, 2), (3, 1), (4, 4)], 6),
+            ([(5, 2), (2, 5), (1, 1)], None),
+            ([], 4),
+            ([], None),
+        ],
+    )
+    def test_array_and_list_inputs_agree(self, edges, n):
+        as_list = Graph.from_edges(edges, n=n)
+        for dtype in (np.int64, np.int32):
+            array = np.asarray(edges, dtype=dtype).reshape(-1, 2)
+            as_array = Graph.from_edges(array, n=n)
+            assert np.array_equal(as_array.indptr, as_list.indptr)
+            assert np.array_equal(as_array.indices, as_list.indices)
+            assert as_array.fingerprint() == as_list.fingerprint()
+
+    def test_array_input_validated(self):
+        with pytest.raises(GraphError):
+            Graph.from_edges(np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(GraphError):
+            Graph.from_edges(np.asarray([[-1, 0]]))
+        with pytest.raises(GraphError):
+            Graph.from_edges(np.asarray([[0, 5]]), n=3)
+
     @given(edge_lists())
     @settings(max_examples=100)
     def test_from_edges_invariants(self, data):

@@ -45,6 +45,7 @@ from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
 from repro.motivo import MotivoConfig, MotivoCounter
 from repro.serve import SamplingService, serve_http
+from repro.util.instrument import Instrumentation
 
 from support.graphgen import powerlaw_edges
 
@@ -249,6 +250,33 @@ class TestDeltaBitIdentity:
         )
         fresh = build_table(result.graph, coloring)
         _assert_tables_equal(fresh, result.table, k)
+
+    @pytest.mark.parametrize("layout", ["dense", "succinct"])
+    @pytest.mark.parametrize("zero_rooting", [True, False])
+    def test_missing_color_takes_fallback_path(self, layout, zero_rooting):
+        n, k = 30, 4
+        graph = erdos_renyi(n, 90, rng=2)
+        colors = np.zeros(n, dtype=np.int64)
+        colors[::2] = 2  # colors 1 and 3 never occur
+        coloring = ColoringScheme.fixed(colors, k)
+        table = build_table(
+            graph, coloring, layout=layout, zero_rooting=zero_rooting
+        )
+        rng = np.random.default_rng(31)
+        for _round in range(3):
+            batch = _mixed_batch(rng, graph, inserts=3, deletes=2)
+            instrumentation = Instrumentation()
+            result = apply_edge_updates(
+                table, graph, batch, coloring,
+                instrumentation=instrumentation,
+            )
+            assert instrumentation["fallback_levels"] > 0
+            fresh = build_table(
+                result.graph, coloring, layout=layout,
+                zero_rooting=zero_rooting,
+            )
+            _assert_tables_equal(fresh, result.table, k)
+            graph, table = result.graph, result.table
 
     def test_mismatched_coloring_rejected(self):
         graph = erdos_renyi(20, 40, rng=2)

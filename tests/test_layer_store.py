@@ -22,7 +22,6 @@ from repro.table.layer_store import (
     InMemoryStore,
     ShardedStore,
     SpillLayerStore,
-    resolve_store,
 )
 from repro.treelets.encoding import getsize
 from repro.treelets.registry import TreeletRegistry
@@ -37,18 +36,15 @@ def workload():
 
 
 class TestResolveStore:
-    def test_default_is_in_memory(self):
-        assert isinstance(resolve_store(None, None), InMemoryStore)
-
-    def test_spill_shorthand(self, tmp_path):
-        spill = SpillStore(str(tmp_path))
-        store = resolve_store(None, spill)
-        assert isinstance(store, SpillLayerStore)
-        assert store.spill is spill
-
-    def test_both_rejected(self, tmp_path):
-        with pytest.raises(TableError):
-            resolve_store(InMemoryStore(), SpillStore(str(tmp_path)))
+    def test_default_is_in_memory(self, workload):
+        graph, coloring = workload
+        table = build_table(graph, coloring)
+        reference = build_table(graph, coloring, store=InMemoryStore())
+        for size in range(1, 5):
+            layer = table.layer(size)
+            assert not isinstance(layer.counts, np.memmap)
+            assert layer.keys == reference.layer(size).keys
+            assert np.array_equal(layer.counts, reference.layer(size).counts)
 
 
 class TestBackendsAgree:
@@ -189,7 +185,8 @@ class TestSpillFinalize:
 
         instrumentation = Instrumentation()
         table = build_table(
-            graph, coloring, spill=spill, instrumentation=instrumentation
+            graph, coloring, store=SpillLayerStore(spill),
+            instrumentation=instrumentation,
         )
         assert "sort_pass" in instrumentation.timings
         assert isinstance(table.layer(4).counts, np.memmap)

@@ -520,6 +520,7 @@ def test_live_tree_is_lint_clean():
             str(REPO_ROOT / "src"),
             str(REPO_ROOT / "tools"),
             str(REPO_ROOT / "benchmarks"),
+            str(REPO_ROOT / "perfbench"),
         ],
         root=str(REPO_ROOT),
     )

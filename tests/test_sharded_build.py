@@ -174,6 +174,26 @@ class TestShardedDegenerateInputs:
             _assert_layers_equal(reference, table, 4)
             store.close()
 
+    @pytest.mark.parametrize("zero_rooting", [True, False])
+    def test_whole_halo_path_without_sparsetools(
+        self, tmp_path, monkeypatch, zero_rooting
+    ):
+        # Without scipy's private csr_matvecs entry point the stream
+        # gathers the whole halo and runs one public-API SpMM instead.
+        from repro.colorcoding import level, sharded
+
+        graph = erdos_renyi(40, 130, rng=14)
+        coloring = ColoringScheme.uniform(40, 5, rng=15)
+        reference = build_table(graph, coloring, zero_rooting=zero_rooting)
+        monkeypatch.setattr(sharded, "_scipy_sparsetools", None)
+        monkeypatch.setattr(level, "_scipy_sparsetools", None)
+        table, store = _sharded(
+            graph, coloring, tmp_path, f"nost{zero_rooting}", 3,
+            zero_rooting=zero_rooting,
+        )
+        _assert_layers_equal(reference, table, 5)
+        store.close()
+
     def test_isolated_vertices_and_empty_shards(self, tmp_path):
         # 40 vertices, edges only among the first 6: most shards hold
         # nothing but isolated vertices.

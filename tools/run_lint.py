@@ -4,13 +4,13 @@
 Equivalent to ``PYTHONPATH=src python -m repro.lint ...`` but runnable
 from a bare checkout anywhere: it puts ``src/`` on ``sys.path`` itself
 and runs from the repository root, so the default scan set
-(``src tools benchmarks``) and repo-relative finding paths work
+(``src tools benchmarks perfbench``) and repo-relative finding paths work
 regardless of the caller's cwd.  Path arguments are therefore
 interpreted relative to the repository root, not the caller's cwd.
 
 Usage::
 
-    python tools/run_lint.py                       # scan src tools benchmarks
+    python tools/run_lint.py                       # scan src tools benchmarks perfbench
     python tools/run_lint.py --format=json         # machine-readable (CI)
     python tools/run_lint.py --list-rules          # rule catalog
 """
