@@ -1,17 +1,22 @@
-"""Build-up kernel trajectory: per-key legacy loop vs batched SpMM kernel.
+"""Build-up kernel trajectory: per-key reference loop vs batched SpMM kernel.
 
 The Figure 3 build-up workload at ensemble scale — G(n=2000, average
 degree 10), k=6 — timed under both kernels, interleaved (this box's clock
 drifts, so alternating runs and taking minima is the only fair protocol).
 Results land as ``BENCH_buildup.json`` at the repository root so the perf
 trajectory is tracked across PRs, plus the usual text table under
-``benchmarks/results/``.
+``benchmarks/results/``.  The per-key loop is the reference in
+``tests/support/reference.py``; its arm keeps the ``legacy`` label so the
+trajectory file's fields stay comparable across PRs.
 
 Run directly (``python benchmarks/bench_buildup_kernel.py``) or via
 pytest.
 """
 
 from __future__ import annotations
+
+import os
+import sys
 
 import numpy as np
 
@@ -28,6 +33,10 @@ from common import (
     format_table,
     interleaved_epochs,
 )
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
+from support.reference import build_table_reference  # noqa: E402
 
 #: The fig3 build-up workload: G(n, m) with avg degree 10, k=6.
 N_VERTICES = 2000
@@ -56,15 +65,16 @@ def run_kernel_comparison(
     # Warm both paths (plan compilation, adjacency cache) and assert the
     # kernels agree bit for bit — a speedup over wrong answers is no
     # speedup.
-    batched = build_table(graph, coloring, registry=registry, kernel="batched")
-    legacy = build_table(graph, coloring, registry=registry, kernel="legacy")
+    builders = {"batched": build_table, "legacy": build_table_reference}
+    batched = build_table(graph, coloring, registry=registry)
+    legacy = build_table_reference(graph, coloring, registry=registry)
     for h in range(1, K + 1):
         assert batched.layer(h).keys == legacy.layer(h).keys
         assert np.array_equal(batched.layer(h).counts, legacy.layer(h).counts)
 
     def _kernel_arm(kernel):
         def run(_tick):
-            build_table(graph, coloring, registry=registry, kernel=kernel)
+            builders[kernel](graph, coloring, registry=registry)
         return run
 
     epoch_stats = interleaved_epochs(

@@ -109,7 +109,7 @@ def _telemetry_bypassed():
 def _run_round(urn, classifier, samples, seed):
     """One workload round: a batched draw plus batch classification."""
     vertices, _treelets, _masks = urn.sample_batch(
-        samples, np.random.default_rng(seed), method="batched"
+        samples, np.random.default_rng(seed)
     )
     return classifier.classify_batch(vertices)
 

@@ -5,10 +5,10 @@ k=6 — with the build-up table built once and the *sampling phase* timed
 under both regimes:
 
 * **loop** — the per-sample reference path: one recursion per draw
-  (``sample_batch(..., method="loop")``) followed by one ``classify``
-  call per sample;
+  (``ScalarSampler.sample_batch`` from ``tests/support/reference.py``)
+  followed by one ``classify`` call per sample;
 * **batched** — the vectorized engine: one plan-replay descent per batch
-  (``method="batched"``) plus one ``classify_batch`` sweep.
+  (``TreeletUrn.sample_batch``) plus one ``classify_batch`` sweep.
 
 Both paths read the same uniform matrix, so for a fixed seed their
 outputs are bit-identical (asserted below before any timing).  Timing is
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import tempfile
 import time
 
@@ -60,6 +61,10 @@ from common import (
     interleaved_epochs,
 )
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
+from support.reference import ScalarSampler  # noqa: E402
+
 #: The fig3 sampling workload: G(n, m) with avg degree 10, k=6.
 N_VERTICES = 2000
 N_EDGES = 10_000
@@ -79,8 +84,8 @@ TARGET_SPEEDUP = 15.0
 
 def _loop_side(urn, classifier, samples, seed):
     """Per-sample reference: scalar descent + scalar classification."""
-    vertices, _treelets, _masks = urn.sample_batch(
-        samples, np.random.default_rng(seed), method="loop"
+    vertices, _treelets, _masks = ScalarSampler(urn).sample_batch(
+        samples, np.random.default_rng(seed)
     )
     return [classifier.classify(row) for row in vertices.tolist()]
 
@@ -88,7 +93,7 @@ def _loop_side(urn, classifier, samples, seed):
 def _batched_side(urn, classifier, samples, seed):
     """Vectorized engine: plan-replay descent + one classify sweep."""
     vertices, _treelets, _masks = urn.sample_batch(
-        samples, np.random.default_rng(seed), method="batched"
+        samples, np.random.default_rng(seed)
     )
     return classifier.classify_batch(vertices)
 
@@ -164,12 +169,10 @@ def run_sampling_comparison(
     # Correctness gate: identical draws and classifications for a fixed
     # seed — a speedup over different answers is no speedup.
     check_seed = 1234
-    loop_out = urn.sample_batch(
-        samples, np.random.default_rng(check_seed), method="loop"
+    loop_out = ScalarSampler(urn).sample_batch(
+        samples, np.random.default_rng(check_seed)
     )
-    batch_out = urn.sample_batch(
-        samples, np.random.default_rng(check_seed), method="batched"
-    )
+    batch_out = urn.sample_batch(samples, np.random.default_rng(check_seed))
     bit_identical = all(
         np.array_equal(a, b) for a, b in zip(loop_out, batch_out)
     )

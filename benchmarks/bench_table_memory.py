@@ -70,7 +70,7 @@ MAX_SLOWDOWN = 1.5
 def _sampling_side(urn, classifier, samples, seed):
     """One timed unit: vectorized draw + one classify_batch sweep."""
     vertices, _treelets, _masks = urn.sample_batch(
-        samples, np.random.default_rng(seed), method="batched"
+        samples, np.random.default_rng(seed)
     )
     return classifier.classify_batch(vertices)
 
@@ -120,7 +120,7 @@ def run_table_memory_comparison(
     check_seed = 1234
     draws = {
         layout: urn.sample_batch(
-            samples, np.random.default_rng(check_seed), method="batched"
+            samples, np.random.default_rng(check_seed)
         )
         for layout, urn in urns.items()
     }

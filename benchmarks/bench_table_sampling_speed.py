@@ -7,10 +7,16 @@ the σ cache.  The comparison sampler here re-creates CC's behaviour on
 top of the same count table: linear-scan root selection over the root
 weight vector (no alias table) and no neighbor buffering.  Measured as
 samples/second on the same urn contents.
+
+Both sides run the paper's one-sample-at-a-time recursion, which the
+package replaces with the batched descent; it lives in
+``tests/support/reference.py`` and is measured from there.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 
 import numpy as np
@@ -22,6 +28,10 @@ from repro.colorcoding.urn import TreeletUrn
 from repro.graph.datasets import load_dataset
 
 from common import emit, format_table
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
+from support.reference import ScalarSampler  # noqa: E402
 
 GRID = [
     ("facebook", 5),
@@ -45,6 +55,7 @@ class CCStyleSampler:
 
     def __init__(self, urn: TreeletUrn):
         self.urn = urn
+        self._recursion = ScalarSampler(urn)
         self._weights = urn.table.root_weights()
         self._layer = urn.table.layer(urn.k)
 
@@ -64,19 +75,17 @@ class CCStyleSampler:
             if accumulated >= target:
                 break
         treelet, mask = self._layer.keys[row]
-        return self.urn._sample_copy(treelet, mask, root, rng)
+        # Without ``rng`` the recursion never buffers.
+        return self._recursion._sample_copy(treelet, mask, root, rng.random)
 
 
 def _measure(dataset: str, k: int):
     graph = load_dataset(dataset)
     coloring = ColoringScheme.uniform(graph.num_vertices, k, rng=31)
     table = build_table(graph, coloring)
-    motivo_urn = TreeletUrn(
-        graph, table, coloring, buffer_threshold=100, buffer_size=100
-    )
-    cc_sampler = CCStyleSampler(
-        TreeletUrn(graph, table, coloring, buffer_threshold=10**9)
-    )
+    urn = TreeletUrn(graph, table, coloring)
+    motivo_urn = ScalarSampler(urn, buffer_threshold=100, buffer_size=100)
+    cc_sampler = CCStyleSampler(urn)
 
     rng = np.random.default_rng(1)
     start = time.perf_counter()
@@ -129,6 +138,8 @@ def test_table_sampling_speed(benchmark):
     graph = load_dataset("facebook")
     coloring = ColoringScheme.uniform(graph.num_vertices, 5, rng=31)
     table = build_table(graph, coloring)
-    urn = TreeletUrn(graph, table, coloring, buffer_threshold=100)
+    sampler = ScalarSampler(
+        TreeletUrn(graph, table, coloring), buffer_threshold=100
+    )
     rng = np.random.default_rng(3)
-    benchmark(lambda: urn.sample(rng))
+    benchmark(lambda: sampler.sample(rng))

@@ -5,9 +5,10 @@ color coding: a build-up phase computes, for every vertex, succinct counts
 of colorful rooted treelets; a sampling phase draws uniform treelet copies
 from that "urn" and converts hit rates into count estimates.  The paper's
 contributions — succinct treelet encodings, the compact count table with
-greedy flushing, 0-rooting, neighbor buffering, biased coloring, and the
-adaptive graphlet sampling (AGS) strategy — are all implemented here in
-pure Python/NumPy.
+greedy flushing, 0-rooting, biased coloring, and the adaptive graphlet
+sampling (AGS) strategy — are implemented here in pure Python/NumPy.
+Sampling is batched; the paper's one-sample sampler with neighbor
+buffering is kept as a test reference (``tests/support/reference.py``).
 
 Public entry points
 -------------------

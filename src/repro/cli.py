@@ -118,6 +118,19 @@ def _write_stats(path: str, instrumentation) -> None:
 _BYTE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
 
+def _positive_int(text: str) -> int:
+    """Parse an integer of at least 1 (e.g. a sampling chunk size)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_bytes(text: str) -> int:
     """Parse a byte count with optional K/M/G suffix (e.g. ``256M``)."""
     raw = text.strip().lower().removesuffix("b")
@@ -182,13 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the coloring ensemble (default serial)",
     )
     count.add_argument(
-        "--kernel", choices=["batched", "legacy"], default="batched",
-        help="build-up kernel (legacy = per-key correctness oracle)",
-    )
-    count.add_argument(
-        "--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-        help="samples per vectorized sampling chunk; <=1 disables "
-             f"batching (default {DEFAULT_BATCH_SIZE})",
+        "--batch-size", type=_positive_int, default=DEFAULT_BATCH_SIZE,
+        help="samples per vectorized sampling chunk, at least 1 "
+             f"(default {DEFAULT_BATCH_SIZE})",
     )
     count.add_argument(
         "--table-layout", choices=["dense", "succinct"], default="dense",
@@ -275,10 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for an ensemble build (default serial)",
     )
     build.add_argument(
-        "--kernel", choices=["batched", "legacy"], default="batched",
-        help="build-up kernel (legacy = per-key correctness oracle)",
-    )
-    build.add_argument(
         "--table-layout", choices=["dense", "succinct"], default="dense",
         help="in-memory layout during the build (recorded in the "
              "artifact; succinct seals layers as they retire from the "
@@ -357,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes when sampling an ensemble artifact",
     )
     sample.add_argument(
-        "--batch-size", type=int, default=None,
-        help="samples per vectorized sampling chunk; <=1 disables "
-             "batching (default: the value recorded at build time, "
+        "--batch-size", type=_positive_int, default=None,
+        help="samples per vectorized sampling chunk, at least 1 "
+             "(default: the value recorded at build time, "
              f"which keeps sample bit-identical to count; else "
              f"{DEFAULT_BATCH_SIZE})",
     )
@@ -572,7 +577,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         zero_rooting=not args.no_zero_rooting,
         biased_lambda=args.biased_lambda,
         spill_dir=args.spill_dir,
-        kernel=args.kernel,
         batch_size=args.batch_size,
         table_layout=args.table_layout,
         descent_cache_bytes=args.descent_cache_bytes,
@@ -597,9 +601,8 @@ def _run_single(graph, config, args):
     counter.build()
     build_seconds = time.perf_counter() - start
     _LOG.info(
-        "build-up: n=%d m=%d k=%d kernel=%s in %.2fs",
-        graph.num_vertices, graph.num_edges, args.k, config.kernel,
-        build_seconds,
+        "build-up: n=%d m=%d k=%d in %.2fs",
+        graph.num_vertices, graph.num_edges, args.k, build_seconds,
     )
     if counter.build_budget is not None:
         budget = counter.build_budget
@@ -644,9 +647,9 @@ def _run_ensemble(graph, config, args):
     seconds = time.perf_counter() - start
     inst = result.instrumentation
     _LOG.info(
-        "ensemble: n=%d m=%d k=%d kernel=%s: %d colorings x %d samples "
+        "ensemble: n=%d m=%d k=%d: %d colorings x %d samples "
         "on %d job(s) in %.2fs (%d empty, %.2fs total build)",
-        graph.num_vertices, graph.num_edges, args.k, config.kernel,
+        graph.num_vertices, graph.num_edges, args.k,
         result.colorings, args.samples, args.jobs, seconds,
         result.empty_runs, inst.timings["buildup"],
     )
@@ -661,7 +664,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         zero_rooting=not args.no_zero_rooting,
         biased_lambda=args.biased_lambda,
         spill_dir=args.spill_dir,
-        kernel=args.kernel,
         table_layout=args.table_layout,
         descent_cache_bytes=args.descent_cache_bytes,
         memory_budget=args.memory_budget,

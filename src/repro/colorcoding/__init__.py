@@ -5,10 +5,10 @@
     trades urn accuracy for table size on very large graphs.
 ``buildup``
     Motivo's build-up phase: the Equation (1) dynamic program over
-    succinct treelets.  The default batched kernel runs one sparse
-    matrix–matrix product per (level, source layer) and realizes the
-    recurrence through precompiled combination plans; the original
-    per-key loop survives as ``kernel="legacy"``, bit-identical.
+    succinct treelets.  One sparse matrix–matrix product per (level,
+    source layer) realizes the recurrence through precompiled
+    combination plans, bit-identical to the per-key loop kept in
+    ``tests/support/reference.py``.
 ``level``
     One level of the recurrence over a column set — the kernel the
     in-memory, sharded and incremental build drivers share, each with
@@ -21,16 +21,15 @@
     recursive check-and-merge — the baseline of Figures 2–4, and (being
     exact-integer) the reference implementation for tests.
 ``urn``
-    The sampling-phase interface over the finished table: uniform colorful
-    treelet samples (``sample()`` / ``sample_batch(n)``) and per-shape
-    samples (``sample_shape`` / ``sample_shape_batch``, the AGS
-    primitive), with alias-method root selection, neighbor buffering on
-    the scalar path, and a vectorized plan-replay descent on the batched
-    path.
+    The sampling-phase interface over the finished table: batches of
+    uniform colorful treelet samples (``sample_batch(n)``) and of
+    per-shape samples (``sample_shape_batch``, the AGS primitive), with
+    alias-method root selection and a vectorized plan-replay descent.
+    The paper's one-sample recursion, neighbor buffering included, is
+    kept in ``tests/support/reference.py`` as its oracle.
 ``descent``
     The sampling engine's compiler: decomposition trees flattened into
-    descent plans that the batched path replays over whole sample
-    batches.
+    descent plans that the urn replays over whole sample batches.
 """
 
 from repro.colorcoding.coloring import ColoringScheme

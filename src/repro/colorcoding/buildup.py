@@ -9,7 +9,7 @@ of ``T_C`` rooted at ``v``:
 
 with ``(T', T'')`` the unique decomposition of ``T`` and ``C'' = C \\ C'``.
 
-Batched kernel (the default).  :class:`~repro.table.count_table.CountTable`
+The kernel.  :class:`~repro.table.count_table.CountTable`
 stores each finished layer as one ``num_keys × n`` matrix, so the neighbor
 sums ``S(T''_{C'}, v) = Σ_{u~v} c(T''_{C'}, u)`` for *every* key of a layer
 are a single sparse matrix–matrix product ``adjacency @ layer.counts.T``
@@ -18,12 +18,10 @@ are a single sparse matrix–matrix product ``adjacency @ layer.counts.T``
 level step :func:`repro.colorcoding.level.run_level` over all ``n``
 columns; this module's reader serves it from the resident layers and
 caches every layer's neighbor sums across levels.  Pair enumeration order
-matches the legacy loop exactly, so the two kernels produce bit-identical
-tables (the equivalence tests assert exact equality).
-
-Legacy kernel.  ``kernel="legacy"`` keeps the original per-key loop — one
-SpMV per color split with a bounded per-level neighbor-sum cache — as the
-correctness oracle the batched kernel is tested against.
+matches the straightforward per-key loop (one SpMV per color split), so
+the kernel's tables are bit-identical to that loop's; the loop lives in
+``tests/support/reference.py`` as the oracle the identity tests compare
+against.
 
 Layer storage is delegated to a :class:`~repro.table.layer_store.LayerStore`
 backend: in-memory (default), greedy flush to disk with memory-mapped
@@ -32,7 +30,7 @@ vertex-range sharding (:class:`~repro.table.layer_store.ShardedStore`).
 0-rooting (§3.2) restricts the size-``k`` layer to roots of color 0,
 shrinking it by a factor ``k``.
 
-Table layout (``layout="succinct"``).  The kernels need the matrix form
+Table layout (``layout="succinct"``).  The kernel needs the matrix form
 while a layer is still on the build frontier (SpMM operands, blocked
 prime-side gathers), so layers are always *built* dense — but with the
 succinct layout requested each layer is **sealed** to the paper's CSR
@@ -52,7 +50,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import BuildError
 from repro.colorcoding.coloring import ColoringScheme
 from repro.colorcoding.level import (
     _csr_row_subset,
@@ -66,18 +63,12 @@ from repro.colorcoding.plans import compile_plans, frontier_last_use
 from repro.graph.graph import Graph
 from repro.table.count_table import CountTable, Layer
 from repro.table.layer_store import InMemoryStore, LayerStore
-from repro.treelets.encoding import getsize
 from repro.treelets.registry import TreeletRegistry
-from repro.util.bitops import iter_subsets_of_size, masks_of_size
 from repro.util.instrument import Instrumentation
 
-__all__ = ["build_table", "KERNELS"]
+__all__ = ["build_table"]
 
 Key = Tuple[int, int]
-
-#: Available build-up kernels: ``batched`` (one SpMM per layer, the
-#: default) and ``legacy`` (per-key SpMV loop, the correctness oracle).
-KERNELS = ("batched", "legacy")
 
 
 def build_table(
@@ -87,7 +78,6 @@ def build_table(
     zero_rooting: bool = True,
     store: Optional[LayerStore] = None,
     instrumentation: Optional[Instrumentation] = None,
-    kernel: str = "batched",
     layout: str = "dense",
 ) -> CountTable:
     """Run the build-up phase and return the treelet count table.
@@ -109,12 +99,8 @@ def build_table(
         sharded by vertex range).  Defaults to in-memory.
     instrumentation:
         Counter bag; receives ``merge_ops`` (one per realized (T, C-split)
-        combination pair), ``spmm_ops`` (batched kernel: one per
-        level × source-layer SpMM), and the ``buildup``/``sort_pass``
-        timers.
-    kernel:
-        ``"batched"`` (default) or ``"legacy"``; both produce bit-identical
-        tables.
+        combination pair), ``spmm_ops`` (one per level × source-layer
+        SpMM), and the ``buildup``/``sort_pass`` timers.
     layout:
         In-memory layout of the finished table: ``"dense"`` (the
         matrices, as built) or ``"succinct"`` (the paper's CSR records;
@@ -123,8 +109,6 @@ def build_table(
         bit-identically.
     """
     registry = check_build_args(graph, coloring, registry, layout)
-    if kernel not in KERNELS:
-        raise BuildError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     k = coloring.k
     instrumentation = instrumentation or Instrumentation()
     layer_store = store or InMemoryStore()
@@ -143,17 +127,10 @@ def build_table(
         _install(layer_store, table, 1, level_one)
 
         sealer = _FrontierSealer(registry, layout, layer_store, instrumentation)
-        if kernel == "batched":
-            _run_batched(
-                table, registry, adjacency, coloring.colors, zero_rooting,
-                layer_store, instrumentation, sealer,
-            )
-        else:
-            zero_mask = coloring.indicator(0) if zero_rooting else None
-            _run_legacy(
-                table, registry, adjacency, zero_mask, layer_store,
-                instrumentation, sealer,
-            )
+        _run_batched(
+            table, registry, adjacency, coloring.colors, zero_rooting,
+            layer_store, instrumentation, sealer,
+        )
 
     layer_store.finalize(table, instrumentation, layout=layout)
     if layout == "succinct":
@@ -189,7 +166,7 @@ class _FrontierSealer:
         self, table: CountTable, level: int, *sum_caches: Dict
     ) -> None:
         """Seal every resident dense layer with no use beyond ``level``,
-        releasing its entries in the kernels' neighbor-sum caches."""
+        releasing its entries in the reader's neighbor-sum caches."""
         if not self.active:
             return
         for size in range(1, level + 1):
@@ -221,7 +198,7 @@ def _install(
 
 
 # ----------------------------------------------------------------------
-# Batched kernel: the shared level step over a resident reader
+# The shared level step over a resident reader
 # ----------------------------------------------------------------------
 
 
@@ -347,68 +324,3 @@ def _neighbor_matrix_cm(adjacency, counts: np.ndarray) -> np.ndarray:
     operand = np.zeros((counts.shape[1], num_keys + 1), dtype=np.float64)
     operand[:, :num_keys] = counts.T
     return _spmm(adjacency, operand)
-
-
-# ----------------------------------------------------------------------
-# Legacy kernel: per-key SpMV loop (the correctness oracle)
-# ----------------------------------------------------------------------
-
-
-def _run_legacy(
-    table: CountTable,
-    registry: TreeletRegistry,
-    adjacency,
-    zero_mask: Optional[np.ndarray],
-    store: LayerStore,
-    instrumentation: Instrumentation,
-    sealer: "_FrontierSealer",
-) -> None:
-    k = table.k
-    for h in range(2, k + 1):
-        entries: Dict[Key, np.ndarray] = {}
-        # Per-level neighbor-sum cache, scoped to the level: it can
-        # hold at most the distinct (T'', C') keys this level's
-        # decompositions reference (Σ over distinct T'' of C(k, |T''|),
-        # about one finished-table's worth of vectors) and is released
-        # when the level finishes — peak memory stays one layer deep.
-        # Deliberately no mid-level eviction: recomputing hot SpMVs
-        # would skew the legacy/batched comparison the benchmarks track.
-        neighbor_sums: Dict[Key, np.ndarray] = {}
-        color_masks = masks_of_size(k, h)
-        for treelet in registry.treelets_of_size(h):
-            t_prime, t_second, beta_t = registry.decomposition(treelet)
-            h_second = getsize(t_second)
-            layer_prime = table.layer(h - h_second)
-            layer_second = table.layer(h_second)
-            for mask in color_masks:
-                accumulated: Optional[np.ndarray] = None
-                for sub_mask in iter_subsets_of_size(mask, h_second):
-                    counts_second = layer_second.counts_for(t_second, sub_mask)
-                    if counts_second is None:
-                        continue
-                    counts_prime = layer_prime.counts_for(
-                        t_prime, mask ^ sub_mask
-                    )
-                    if counts_prime is None:
-                        continue
-                    instrumentation.count("merge_ops")
-                    sums = neighbor_sums.get((t_second, sub_mask))
-                    if sums is None:
-                        sums = adjacency.dot(counts_second)
-                        neighbor_sums[(t_second, sub_mask)] = sums
-                    term = counts_prime * sums
-                    if accumulated is None:
-                        accumulated = term
-                    else:
-                        accumulated += term
-                if accumulated is None or not accumulated.any():
-                    continue
-                if beta_t > 1:
-                    accumulated /= beta_t
-                if h == k and zero_mask is not None:
-                    accumulated = accumulated * zero_mask
-                    if not accumulated.any():
-                        continue
-                entries[(treelet, mask)] = accumulated
-        _install(store, table, h, entries)
-        sealer.after_level(table, h)

@@ -17,14 +17,14 @@ A plan is the decomposition tree of ``T`` flattened in DFS pre-order:
   child vertex) carry their *pre-order rank* among internal nodes — a
   ``k``-leaf decomposition tree always has exactly ``k - 1`` of them;
 * leaves (singletons) carry the output column their vertex occupies in
-  the DFS vertex order that ``TreeletUrn.sample`` has always produced
-  (``left + right`` concatenation).
+  the DFS vertex order the scalar recursion produces (``left + right``
+  concatenation).
 
 The rank is what anchors the fixed-width uniform-matrix draw discipline
 (see :meth:`repro.colorcoding.urn.TreeletUrn.sample_batch`): internal
 node of rank ``r`` reads its split variate from matrix column
 ``3 + 2r`` and its child variate from ``4 + 2r``, in both the batched
-and the per-sample reference path — the per-sample recursion consumes
+descent and the scalar reference recursion — the recursion consumes
 uniforms in exactly pre-order, so sequential reads land on the same
 slots by construction.
 """

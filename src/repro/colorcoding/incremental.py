@@ -49,9 +49,10 @@ import numpy as np
 
 from repro.colorcoding.coloring import ColoringScheme
 from repro.colorcoding.level import (
+    _spmm,
     augmented,
     check_build_args,
-    halo_spmm,
+    halo_csr,
     level_mode,
     run_level,
 )
@@ -131,17 +132,21 @@ def touched_frontiers(
     Grown over the union of old and new adjacency (see the module
     docstring); entry ``r`` is the sorted vertex set within distance
     ``r``, and level ``h`` of the delta recomputes exactly entry
-    ``h - 2``.
+    ``h - 2``.  Each radius grows from the newest shell only: the rest
+    of the ball's neighbors are already inside it.
     """
-    ball = np.unique(np.asarray(endpoints, dtype=np.int64))
-    balls = [ball]
+    shell = np.unique(np.asarray(endpoints, dtype=np.int64))
+    inside = np.zeros(new_graph.num_vertices, dtype=bool)
+    inside[shell] = True
+    balls = [shell]
     for _radius in range(1, max(k - 1, 1)):
-        grown = np.union1d(
-            _gather_neighbors(old_graph.indptr, old_graph.indices, ball),
-            _gather_neighbors(new_graph.indptr, new_graph.indices, ball),
-        )
-        ball = np.union1d(ball, grown)
-        balls.append(ball)
+        reached = np.concatenate([
+            _gather_neighbors(old_graph.indptr, old_graph.indices, shell),
+            _gather_neighbors(new_graph.indptr, new_graph.indices, shell),
+        ])
+        shell = np.unique(reached[~inside[reached]])
+        inside[shell] = True
+        balls.append(np.flatnonzero(inside).astype(np.int64))
     return balls
 
 
@@ -188,7 +193,10 @@ class _FrontierReader:
 
     Source layers are read through :func:`_column_block` (dense or
     succinct) at the halo alone, so each answer costs work proportional
-    to the frontier's neighborhood, not to ``n``.
+    to the frontier's neighborhood, not to ``n``.  A level's groups ask
+    for the same rows, so the halo and its remapped CSR are built once
+    per distinct ``rows``; the driver uses one reader per level, which
+    drops them when the level ends.
     """
 
     def __init__(
@@ -197,6 +205,7 @@ class _FrontierReader:
         self.table = table
         self.adjacency = adjacency
         self.instrumentation = instrumentation
+        self._halo: Optional[Tuple[np.ndarray, np.ndarray, object]] = None
 
     def neighbor_block(self, size: int, rows: np.ndarray) -> np.ndarray:
         return augmented(self.subset_sums(size, rows, None))
@@ -205,15 +214,13 @@ class _FrontierReader:
         self, size: int, rows: np.ndarray, key_rows: Optional[np.ndarray]
     ) -> np.ndarray:
         self.instrumentation.count("spmm_ops")
-        layer = self.table.layer(size)
-
-        def gather(halo: np.ndarray) -> np.ndarray:
-            block = _column_block(layer, halo)
-            if key_rows is not None:
-                block = block[key_rows]
-            return np.ascontiguousarray(block.T)
-
-        return halo_spmm(self.adjacency, rows, gather)
+        if self._halo is None or not np.array_equal(self._halo[0], rows):
+            self._halo = (rows, *halo_csr(self.adjacency, rows))
+        _rows, halo, piece = self._halo
+        block = _column_block(self.table.layer(size), halo)
+        if key_rows is not None:
+            block = block[key_rows]
+        return _spmm(piece, np.ascontiguousarray(block.T))
 
     def release(self, block: np.ndarray) -> None:
         pass
@@ -386,7 +393,6 @@ def apply_edge_updates(
         zero_rooted = table.zero_rooted
         new_table = CountTable(k, n, zero_rooted=zero_rooted)
         new_table.set_layer(table.layer(1))
-        reader = _FrontierReader(new_table, adjacency, instrumentation)
         rows_touched = 0
         for h in range(2, k + 1):
             cols = balls[h - 2]
@@ -403,7 +409,8 @@ def apply_edge_updates(
                 )
             out = run_level(
                 registry, h, mode, zero_rooted, shim,
-                coloring.colors[cols], cols, reader,
+                coloring.colors[cols], cols,
+                _FrontierReader(new_table, adjacency, instrumentation),
                 instrumentation,
             )
             new_table.set_layer(

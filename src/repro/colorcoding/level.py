@@ -88,7 +88,7 @@ __all__ = [
     "SourceReader",
     "augmented",
     "check_build_args",
-    "halo_spmm",
+    "halo_csr",
     "level_mode",
     "run_level",
 ]
@@ -303,10 +303,10 @@ def _pair_contract(
     """``acc[s] = Σ_j prime[prime_rows[s, j]] ∘ nbr[second_rows[s, j]]``.
 
     The sum over ``j`` (the color sub-masks) runs sequentially in
-    enumeration order, so the bits match the legacy ``accumulated += term``
-    loop exactly: einsum without ``optimize`` reduces the contracted axis
-    with the same left-to-right association, and it fuses the multiply and
-    the sum with no temporaries.  Slot blocks keep each ``block × L × n``
+    enumeration order, so the bits match the reference loop's
+    ``accumulated += term`` exactly: einsum without ``optimize`` reduces
+    the contracted axis with the same left-to-right association, and it
+    fuses the multiply and the sum with no temporaries.  Slot blocks keep each ``block × L × n``
     gather within ``_CONTRACT_BLOCK`` floats so the contraction runs out
     of cache; when even one slot's ``L × n`` gather would exceed the
     budget (huge graphs), a buffered multiply-accumulate loop over ``j``
@@ -368,7 +368,7 @@ def _run_resolved(
 ) -> np.ndarray:
     """Run one level by resolving plan keys against partial layers.
 
-    Absent keys drop their pairs exactly like the legacy
+    Absent keys drop their pairs exactly like the reference loop's
     ``counts_for(...) is None`` checks; each pair lands on its key's row
     of the sorted universe.
     """
@@ -426,7 +426,7 @@ def _scatter_pairs(
     ``np.add.reduceat`` segment.  Work proceeds in segment-aligned chunks
     of roughly ``_CHUNK_PAIRS`` pairs to bound the gather buffer at
     chunk × n floats; alignment keeps every segment's summation
-    sequential and therefore bit-identical to the legacy loop.
+    sequential and therefore bit-identical to the reference loop.
     """
     starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
     boundaries = np.append(starts, slots.size)
@@ -503,18 +503,13 @@ def _csr_row_subset(adjacency, rows: np.ndarray):
     )
 
 
-def halo_spmm(
-    adjacency,
-    rows: np.ndarray,
-    gather: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Neighbor sums at ``rows`` from only the halo's source columns.
+def halo_csr(adjacency, rows: np.ndarray):
+    """``(halo, piece)``: the sorted halo (every neighbor of ``rows``)
+    and ``adjacency[rows]`` with its columns remapped onto the halo.
 
-    Gathers the sorted halo (every neighbor of ``rows``), asks
-    ``gather(halo)`` for the C-contiguous ``(len(halo), vecs)`` operand,
-    and runs one SpMM over ``adjacency[rows]`` with columns remapped onto
-    the halo.  The remap is monotone, so each row's addition order — and
-    with it every floating-point sum — matches the unrestricted SpMM.
+    The remap is monotone, so each row's addition order in an SpMM over
+    ``piece`` — and with it every floating-point sum — matches the
+    unrestricted SpMM.
     """
     sub = _csr_row_subset(adjacency, rows)
     halo, halo_cols = np.unique(sub.indices, return_inverse=True)
@@ -522,4 +517,4 @@ def halo_spmm(
         (sub.data, halo_cols.reshape(-1), sub.indptr),
         shape=(rows.size, halo.size),
     )
-    return _spmm(piece, gather(halo))
+    return halo, piece

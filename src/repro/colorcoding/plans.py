@@ -16,15 +16,16 @@ precomputes them once per registry as *combination plans*:
 :class:`PairGroup`
     All ``(T', C\\C') × (T'', C')`` combinations of a level that share one
     ``(h', h'')`` split.  Pairs are stored in the exact enumeration order of
-    the legacy per-key loop (treelets in canonical order, color masks in
+    the per-key reference loop in ``tests/support/reference.py`` (treelets
+    in canonical order, color masks in
     :func:`~repro.util.bitops.masks_of_size` order, sub-masks in
     :func:`~repro.util.bitops.iter_subsets_of_size` order), which keeps the
     batched kernel's floating-point accumulation order — and therefore its
-    output bits — identical to the legacy path.
+    output bits — identical to the reference loop's.
 
 At build time the kernel resolves each pair's keys against the actually
 present layer rows (absent keys mean zero counts and drop out, exactly like
-the legacy ``counts_for(...) is None`` checks) and realizes the recurrence
+the reference loop's ``counts_for(...) is None`` checks) and realizes the recurrence
 as gather → elementwise multiply → segment sum.
 
 On top of the structural plans sits the *compiled* form
@@ -105,7 +106,7 @@ class LevelPlan:
     out_keys:
         Potential output keys ``(T, C)``: every canonical size-``h``
         treelet crossed with every ``h``-subset of the ``k`` colors, in
-        legacy enumeration order.  Keys whose accumulated counts end up
+        the reference loop's order.  Keys whose accumulated counts end up
         all-zero are dropped at install time, so the universe being a
         superset of the realized layer is harmless.
     betas:
@@ -177,7 +178,7 @@ class CompiledGroup:
         Sizes of the prime and (neighbor-summed) second source layers.
     pairs_per_slot:
         ``L = C(h, h'')`` — every output row of the group combines exactly
-        ``L`` pairs, one per color sub-mask, in legacy enumeration order.
+        ``L`` pairs, one per color sub-mask, in the reference loop's order.
     prime_rows / second_rows:
         ``num_slots × L`` row indices into the full prime layer and the
         full second layer's neighbor-sum matrix; column ``j`` is the

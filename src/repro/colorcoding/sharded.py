@@ -55,9 +55,10 @@ from repro.colorcoding.coloring import ColoringScheme
 from repro.colorcoding.level import (
     _csr_row_subset,
     _scipy_sparsetools,
+    _spmm,
     augmented,
     check_build_args,
-    halo_spmm,
+    halo_csr,
     level_mode,
     run_level,
 )
@@ -378,33 +379,29 @@ def _streamed_spmm(
                 )
         return result
     # Whole-halo fallback: one gather, one SpMM — identical bits.
-    charged: List[int] = []
-
-    def gather(halo: np.ndarray) -> np.ndarray:
-        charged.append(budget.allocate(
-            f"layer-{size} whole halo", halo.size * num_vecs * 8
-        ))
-        operand = np.empty((halo.size, num_vecs), dtype=np.float64)
-        for t in range(ctx.store.num_shards):
-            lo_t, hi_t = int(bounds[t]), int(bounds[t + 1])
-            in_shard = np.flatnonzero((halo >= lo_t) & (halo < hi_t))
-            if in_shard.size == 0:
-                continue
-            with budget.hold(
-                f"layer-{size} halo source block",
-                num_keys * (hi_t - lo_t) * 8,
-            ):
-                block = np.load(ctx.store._shard_path(size, t))
-                if row_subset is None:
-                    operand[in_shard] = block[:, halo[in_shard] - lo_t].T
-                else:
-                    operand[in_shard] = block[
-                        np.ix_(row_subset, halo[in_shard] - lo_t)
-                    ].T
-        return operand
-
-    result[:] = halo_spmm(adjacency, row_ids, gather)
-    budget.release(charged[0])
+    halo, piece = halo_csr(adjacency, row_ids)
+    charge = budget.allocate(
+        f"layer-{size} whole halo", halo.size * num_vecs * 8
+    )
+    operand = np.empty((halo.size, num_vecs), dtype=np.float64)
+    for t in range(ctx.store.num_shards):
+        lo_t, hi_t = int(bounds[t]), int(bounds[t + 1])
+        in_shard = np.flatnonzero((halo >= lo_t) & (halo < hi_t))
+        if in_shard.size == 0:
+            continue
+        with budget.hold(
+            f"layer-{size} halo source block",
+            num_keys * (hi_t - lo_t) * 8,
+        ):
+            block = np.load(ctx.store._shard_path(size, t))
+            if row_subset is None:
+                operand[in_shard] = block[:, halo[in_shard] - lo_t].T
+            else:
+                operand[in_shard] = block[
+                    np.ix_(row_subset, halo[in_shard] - lo_t)
+                ].T
+    result[:] = _spmm(piece, operand)
+    budget.release(charge)
     return result
 
 

@@ -1,21 +1,23 @@
 """The treelet urn: motivo's sampling-phase engine (§2.2, §3.2, §4).
 
 The build-up phase leaves an abstract "urn" of colorful k-treelet copies.
-This module draws from it:
+This module draws from it, always in batches:
 
-``sample()``
-    A colorful k-treelet copy uniformly at random: pick the root ``v`` with
-    probability ∝ occ(v) (alias method, §3.3), pick ``(T, C)`` from ``v``'s
-    record (binary search on cumulative counts), then materialize a copy by
-    recursive decomposition (§2.2).
-``sample_shape(T)``
-    The AGS primitive: a uniform copy of one *free* treelet shape ``T``.
-    Root selection uses a per-shape alias table, rebuilt from scratch when
-    the shape changes — the paper notes exactly this rebuild cost.
-``sample_batch(n)`` / ``sample_shape_batch(T, n)``
-    The same two draws, vectorized across ``n`` samples: one
-    ``searchsorted`` sweep per decision level instead of a Python
-    recursion per sample.  See *Batched sampling* below.
+``sample_batch(n)``
+    ``n`` colorful k-treelet copies uniformly at random: pick each root
+    ``v`` with probability ∝ occ(v) (alias method, §3.3), pick ``(T, C)``
+    from ``v``'s record (binary search on cumulative counts), then
+    materialize a copy by decomposition (§2.2).
+``sample_shape_batch(T, n)``
+    The AGS primitive: ``n`` uniform copies of one *free* treelet shape
+    ``T``.  Root selection uses a per-shape alias table, built when the
+    shape is first drawn — the rebuild cost the paper notes on a switch.
+
+The paper materializes a copy by a recursion per sample, with neighbor
+buffering at hubs (§3.2).  That *scalar recursion* is kept, buffering
+included, in ``tests/support/reference.py``: it is the oracle this
+module's vectorized descent must match bit for bit, and the sampler the
+Figure 5 and §5.1 sampling-speed benchmarks time.
 
 Batched sampling.  The copy-materialization recursion has a shape that is
 fully determined by the rooted treelet ``T`` (only the chosen color masks
@@ -34,10 +36,9 @@ slot  meaning
 4+2r  child-endpoint choice of that node
 ====  =================================================================
 
-The per-sample reference path (``method="loop"``) replays the original
-recursion reading its row left to right, which lands on exactly those
-slots; the vectorized path (``method="batched"``) reads column slices.
-Because treelet counts are integer-valued floats (exact in float64 up to
+The scalar recursion, replayed over the same matrix, reads each row left
+to right and lands on exactly those slots; the vectorized descent reads
+column slices.  Because treelet counts are integer-valued floats (exact in float64 up to
 2^53), every weight, cumulative sum and comparison is bit-identical
 between the two paths, so for a fixed seed they return identical samples
 — the property ``BENCH_sampling.json`` and the batch-equivalence tests
@@ -45,7 +46,7 @@ assert.  The binding magnitude for that guarantee is the *gathered*
 running sum: the batched path accumulates one cumsum over all adjacency
 lists per ``(T'', C'')`` key, i.e. ``Σ_u deg(u)·c(T''_{C''}, u)`` — a
 degree-weighted total up to Δ times larger than any per-vertex neighbor
-sum the scalar path ever forms.  While that stays below 2^53 the two
+sum the scalar recursion ever forms.  While that stays below 2^53 the two
 paths cannot diverge; beyond it both keep working but may round
 differently.  No surrogate workload comes near the bound.
 
@@ -80,16 +81,13 @@ dense matrices and the sealed succinct CSR records alike; the succinct
 layout answers the point lookups by binary search on its packed pair
 index instead of direct indexing.
 
-Neighbor buffering (§3.2): materializing a copy repeatedly draws a child
-endpoint ``u ~ v`` with probability ∝ c(T''_{C''}, u), which costs a Θ(d_v)
-sweep.  For vertices with ``d_v`` above a threshold the urn draws 100
-children per sweep and caches the spares, increasing sampling rates by
-10-40× on hub-dominated graphs (Figure 5).
+Neighbor buffering (§3.2) has no counterpart here: the gathered store
+amortizes each key's Θ(m) sweep over every later draw at any vertex.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -99,17 +97,12 @@ from repro.colorcoding.descent import DescentProgram, compile_program
 from repro.graph.graph import Graph
 from repro.telemetry.tracing import span as _trace_span
 from repro.table.count_table import CountTable
-from repro.treelets.encoding import getsize
 from repro.treelets.registry import TreeletRegistry
 from repro.util.alias import AliasSampler
-from repro.util.bitops import iter_subsets_of_size
 from repro.util.instrument import Instrumentation
 from repro.util.rng import RngLike, ensure_rng
 
-__all__ = ["TreeletUrn", "TreeletCopy", "BatchSamples"]
-
-#: A materialized treelet occurrence: vertices in DFS order of the shape.
-TreeletCopy = Tuple[int, ...]
+__all__ = ["TreeletUrn", "BatchSamples"]
 
 #: Batched draw result: ``(vertices (n, k), treelets (n,), masks (n,))``.
 BatchSamples = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -128,26 +121,6 @@ _SPLIT_EPS = 1e-300
 DEFAULT_DESCENT_CACHE_BYTES = 256 * 1024 * 1024
 
 
-class _UniformRow:
-    """Sequential reader over one sample's row of the uniform matrix.
-
-    Duck-types the only generator method the copy-materialization
-    recursion uses (``random()``), so the per-sample reference path can
-    run the unmodified recursion while drawing from pre-assigned slots.
-    """
-
-    __slots__ = ("_row", "_cursor")
-
-    def __init__(self, row: np.ndarray, cursor: int = 0):
-        self._row = row
-        self._cursor = cursor
-
-    def random(self) -> float:
-        value = float(self._row[self._cursor])
-        self._cursor += 1
-        return value
-
-
 class TreeletUrn:
     """Sampling interface over a finished count table.
 
@@ -157,13 +130,6 @@ class TreeletUrn:
         The host graph, its build-up output, and the coloring used.
     registry:
         Treelet registry for ``k``.
-    buffer_threshold:
-        Degree above which neighbor buffering kicks in (paper: 10^4; the
-        surrogate graphs are smaller, so benchmarks lower it).  Scalar
-        ``sample()`` path only — the batched path amortizes sweeps via
-        its gathered-cumulative cache instead.
-    buffer_size:
-        How many children to draw per sweep when buffering (paper: 100).
     program:
         A pre-compiled :class:`DescentProgram` for this table (from a
         plan-carrying artifact).  ``None`` compiles lazily on the first
@@ -180,8 +146,6 @@ class TreeletUrn:
         table: CountTable,
         coloring: ColoringScheme,
         registry: Optional[TreeletRegistry] = None,
-        buffer_threshold: int = 10_000,
-        buffer_size: int = 100,
         instrumentation: Optional[Instrumentation] = None,
         program: Optional[DescentProgram] = None,
         descent_cache_bytes: Optional[int] = None,
@@ -191,8 +155,6 @@ class TreeletUrn:
         self.coloring = coloring
         self.k = table.k
         self.registry = registry or TreeletRegistry(self.k)
-        self.buffer_threshold = buffer_threshold
-        self.buffer_size = buffer_size
         self.instrumentation = instrumentation or Instrumentation()
 
         weights = table.root_weights()
@@ -211,9 +173,6 @@ class TreeletUrn:
         self._shape_weights: Dict[int, np.ndarray] = {}
         self._shape_alias: Dict[int, AliasSampler] = {}
         self._shape_totals: Dict[int, float] = {}
-
-        # Neighbor buffers: (v, treelet, mask) -> list of pre-drawn children.
-        self._buffers: Dict[Tuple[int, int, int], List[int]] = {}
 
         # Batched-path state: the compiled descent program (plans, split
         # groups and gathered keys fused into flat arrays; handed in
@@ -266,8 +225,8 @@ class TreeletUrn:
         snapshot graph and reads for vertices outside the dirty
         neighborhood remain bit-exact, while dirty vertices take a live
         per-segment path (:meth:`_retarget_gathered`).  Without that
-        hint the store, shape aliases, and neighbor buffers are dropped
-        and refill on demand.  Every refreshed structure is rebuilt by
+        hint the store and shape aliases are dropped and refill on
+        demand.  Every refreshed structure is rebuilt by
         the same code a fresh :class:`TreeletUrn` would run, so draws
         after ``rebind`` are bit-identical to a from-scratch urn's.
 
@@ -296,7 +255,6 @@ class TreeletUrn:
         self._shape_weights.clear()
         self._shape_alias.clear()
         self._shape_totals.clear()
-        self._buffers.clear()
         self._program = program
         self._key_arrays = None
         if not self._retarget_gathered(
@@ -424,57 +382,6 @@ class TreeletUrn:
         return alias
 
     # ------------------------------------------------------------------
-    # Scalar sampling primitives
-    # ------------------------------------------------------------------
-
-    def sample(self, rng: RngLike = None) -> Tuple[TreeletCopy, int, int]:
-        """Draw one colorful k-treelet copy uniformly at random.
-
-        Returns ``(vertices, rooted_treelet, color_mask)``.
-        """
-        rng = ensure_rng(rng)
-        root = self._root_alias.sample(rng)
-        treelet, mask = self.table.sample_key(root, rng)
-        vertices = self._sample_copy(treelet, mask, root, rng)
-        return tuple(vertices), treelet, mask
-
-    def sample_shape(self, shape: int, rng: RngLike = None) -> Tuple[TreeletCopy, int, int]:
-        """AGS's ``sample(T)``: a uniform copy of one free k-treelet shape."""
-        rng = ensure_rng(rng)
-        alias = self._shape_alias_for(shape)
-        root = alias.sample(rng)
-        treelet = self._pick_rooted_variant(shape, root, rng)
-        vertices = self._sample_copy(treelet, self._full_mask, root, rng)
-        return tuple(vertices), treelet, self._full_mask
-
-    def _pick_rooted_variant(self, shape: int, root: int, rng) -> int:
-        variants = self.registry.rooted_variants(shape)
-        if len(variants) == 1:
-            return variants[0]
-        return self._pick_rooted_variant_at(shape, root, rng.random())
-
-    def _pick_rooted_variant_at(self, shape: int, root: int, u: float) -> int:
-        """Variant pick driven by a caller-supplied uniform in ``[0, 1)``."""
-        variants = self.registry.rooted_variants(shape)
-        if len(variants) == 1:
-            return variants[0]
-        layer = self.table.layer(self.k)
-        weights = []
-        for rooted in variants:
-            row = layer.row_of(rooted, self._full_mask)
-            weights.append(0.0 if row is None else layer.value_at(row, root))
-        total = sum(weights)
-        if total <= 0:
-            raise SamplingError(f"vertex {root} roots no copies of shape {shape}")
-        r = u * total
-        running = 0.0
-        for rooted, weight in zip(variants, weights):
-            running += weight
-            if r <= running:
-                return rooted
-        return variants[-1]
-
-    # ------------------------------------------------------------------
     # Batched sampling
     # ------------------------------------------------------------------
 
@@ -493,23 +400,15 @@ class TreeletUrn:
         self,
         n: int,
         rng: RngLike = None,
-        method: str = "batched",
         uniforms: Optional[np.ndarray] = None,
     ) -> BatchSamples:
         """Draw ``n`` uniform colorful k-treelet copies at once.
 
         Returns ``(vertices, treelets, masks)``: an ``(n, k)`` int64
-        matrix of copies (each row in the same DFS order :meth:`sample`
-        produces), the rooted treelet and the color mask per sample.
-
-        ``method="batched"`` (default) runs the vectorized descent;
-        ``method="loop"`` runs the per-sample recursion over the same
-        uniform matrix — the reference path the benchmarks time against.
-        For a fixed seed the two return bit-identical arrays (see the
-        module docstring for why).  Note the batch consumes the generator
-        differently from ``n`` scalar :meth:`sample` calls: one
-        ``rng.random((n, 3 + 2(k-1)))`` block, so results are reproducible
-        per ``(seed, n)``, not interchangeable with the scalar stream.
+        matrix of copies (each row in the DFS order of its rooted
+        treelet), the rooted treelet and the color mask per sample.  The
+        batch consumes one ``rng.random((n, 3 + 2(k-1)))`` block, so
+        results are reproducible per ``(seed, n)``.
 
         ``uniforms`` supplies that block pre-drawn (shape ``(n,
         draw_width)``); ``rng`` is then untouched.  Every decision in the
@@ -521,12 +420,7 @@ class TreeletUrn:
         if n < 1:
             raise SamplingError("need at least one sample")
         uniforms = self._resolve_uniforms(n, rng, uniforms)
-        if method == "loop":
-            out = self._sample_batch_loop(uniforms)
-        elif method == "batched":
-            out = self._sample_batch_vectorized(uniforms)
-        else:
-            raise SamplingError(f"unknown sampling method {method!r}")
+        out = self._sample_batch_vectorized(uniforms)
         self.instrumentation.count("batched_samples", n)
         return out
 
@@ -535,7 +429,6 @@ class TreeletUrn:
         shape: int,
         n: int,
         rng: RngLike = None,
-        method: str = "batched",
         uniforms: Optional[np.ndarray] = None,
     ) -> BatchSamples:
         """Draw ``n`` uniform copies of one free shape at once (AGS).
@@ -549,12 +442,7 @@ class TreeletUrn:
             raise SamplingError("need at least one sample")
         alias = self._shape_alias_for(shape)
         uniforms = self._resolve_uniforms(n, rng, uniforms)
-        if method == "loop":
-            out = self._sample_shape_batch_loop(shape, alias, uniforms)
-        elif method == "batched":
-            out = self._sample_shape_batch_vectorized(shape, alias, uniforms)
-        else:
-            raise SamplingError(f"unknown sampling method {method!r}")
+        out = self._sample_shape_batch_vectorized(shape, alias, uniforms)
         self.instrumentation.count("batched_shape_samples", n)
         return out
 
@@ -571,44 +459,6 @@ class TreeletUrn:
                 f"got {uniforms.shape}"
             )
         return uniforms
-
-    # -- per-sample reference path --------------------------------------
-
-    def _sample_batch_loop(self, uniforms: np.ndarray) -> BatchSamples:
-        n = uniforms.shape[0]
-        vertices = np.empty((n, self.k), dtype=np.int64)
-        treelets = np.empty(n, dtype=np.int64)
-        masks = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            row = uniforms[i]
-            root = int(self._root_alias.pick_from_uniforms(row[0], row[1]))
-            treelet, mask = self.table.sample_key_at(root, float(row[2]))
-            copy = self._sample_copy(
-                treelet, mask, root, _UniformRow(row, 3), use_buffers=False
-            )
-            vertices[i] = copy
-            treelets[i] = treelet
-            masks[i] = mask
-        return vertices, treelets, masks
-
-    def _sample_shape_batch_loop(
-        self, shape: int, alias: AliasSampler, uniforms: np.ndarray
-    ) -> BatchSamples:
-        n = uniforms.shape[0]
-        vertices = np.empty((n, self.k), dtype=np.int64)
-        treelets = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            row = uniforms[i]
-            root = int(alias.pick_from_uniforms(row[0], row[1]))
-            treelet = self._pick_rooted_variant_at(shape, root, float(row[2]))
-            copy = self._sample_copy(
-                treelet, self._full_mask, root, _UniformRow(row, 3),
-                use_buffers=False,
-            )
-            vertices[i] = copy
-            treelets[i] = treelet
-        masks = np.full(n, self._full_mask, dtype=np.int64)
-        return vertices, treelets, masks
 
     # -- vectorized path -------------------------------------------------
 
@@ -647,7 +497,7 @@ class TreeletUrn:
     def _pick_rooted_variants_batch(
         self, shape: int, roots: np.ndarray, us: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`_pick_rooted_variant_at` over many roots."""
+        """Each root's rooted variant of ``shape``, ∝ its count there."""
         variants = self.registry.rooted_variants(shape)
         if len(variants) == 1:
             return np.full(roots.shape, variants[0], dtype=np.int64)
@@ -734,7 +584,7 @@ class TreeletUrn:
 
         For any vertex ``v`` the slice ``[indptr[v]+1 : indptr[v+1]+1]``
         minus the entry at ``indptr[v]`` is exactly the per-neighbor
-        running sum the scalar path computes with
+        running sum the scalar recursion computes with
         ``cumsum(counts[neighbors])``, and the difference of the slice
         endpoints is the neighbor total.
 
@@ -1033,7 +883,7 @@ class TreeletUrn:
 
         For each live lane the per-candidate gathered values are
         recomputed directly from the *current* graph and table — the
-        same ``cumsum(counts[neighbors])`` the scalar path evaluates —
+        same ``cumsum(counts[neighbors])`` the scalar recursion evaluates —
         so decisions on these lanes match a freshly built urn exactly.
         Returns ``(lcum, neighbors, degrees)``: an ``(Lmax, live, dmax)``
         int64 running-sum tensor (padded lanes repeat the final total,
@@ -1075,111 +925,3 @@ class TreeletUrn:
             neighbors,
             ldeg,
         )
-
-    # ------------------------------------------------------------------
-    # Copy materialization (§2.2 recursion)
-    # ------------------------------------------------------------------
-
-    def _sample_copy(
-        self, treelet: int, mask: int, v: int, draws, use_buffers: bool = True
-    ) -> List[int]:
-        """Materialize one uniform copy of ``T_C`` rooted at ``v``.
-
-        Recursion over the unique decomposition: choose the color split and
-        the child endpoint with probability ∝ c(T'_{C'}, v)·c(T''_{C''}, u),
-        then recurse on both parts.  Disjoint colors guarantee the parts
-        are vertex-disjoint, so the union is a valid copy.
-
-        ``draws`` is anything with a ``random()`` method — a NumPy
-        generator on the scalar path, a :class:`_UniformRow` on the
-        batch-reference path (which also disables neighbor buffering,
-        since buffered draws consume variates out of discipline).
-        """
-        if treelet == 0:  # SINGLETON
-            return [v]
-        t_prime, t_second, _beta = self.registry.decomposition(treelet)
-        h_second = getsize(t_second)
-        layer_prime = self.table.layer(getsize(t_prime))
-        layer_second = self.table.layer(h_second)
-        neighbors = self.graph.neighbors(v)
-
-        splits: List[Tuple[int, int, np.ndarray, float]] = []
-        weights: List[float] = []
-        for sub_mask in iter_subsets_of_size(mask, h_second):
-            row_second = layer_second.row_of(t_second, sub_mask)
-            if row_second is None:
-                continue
-            row_prime = layer_prime.row_of(t_prime, mask ^ sub_mask)
-            if row_prime is None:
-                continue
-            count_prime = layer_prime.value_at(row_prime, v)
-            if count_prime <= 0.0:
-                continue
-            neighbor_counts = layer_second.values_at(
-                np.asarray([row_second], dtype=np.int64), neighbors
-            )[0]
-            neighbor_total = float(neighbor_counts.sum())
-            if neighbor_total <= 0.0:
-                continue
-            splits.append((sub_mask, mask ^ sub_mask, neighbor_counts, neighbor_total))
-            weights.append(count_prime * neighbor_total)
-
-        if not splits:
-            raise SamplingError(
-                f"inconsistent table: no valid split for treelet at vertex {v}"
-            )
-        total = sum(weights)
-        r = draws.random() * total
-        running = 0.0
-        chosen = splits[-1]
-        for split, weight in zip(splits, weights):
-            running += weight
-            if r <= running + _SPLIT_EPS:
-                chosen = split
-                break
-        sub_mask, prime_mask, neighbor_counts, neighbor_total = chosen
-
-        u = self._draw_child(
-            v, t_second, sub_mask, neighbors, neighbor_counts,
-            neighbor_total, draws, use_buffers,
-        )
-        left = self._sample_copy(t_prime, prime_mask, v, draws, use_buffers)
-        right = self._sample_copy(t_second, sub_mask, u, draws, use_buffers)
-        return left + right
-
-    def _draw_child(
-        self,
-        v: int,
-        t_second: int,
-        sub_mask: int,
-        neighbors: np.ndarray,
-        neighbor_counts: np.ndarray,
-        neighbor_total: float,
-        draws,
-        use_buffers: bool = True,
-    ) -> int:
-        """Draw ``u ~ v`` with probability ∝ c(T''_{C''}, u).
-
-        Applies neighbor buffering (§3.2) for high-degree vertices: drawing
-        ``buffer_size`` children costs the same single sweep as drawing
-        one, so subsequent requests are served from the cache.  Buffering
-        requires a real generator (``choice``), so the batch-reference
-        path turns it off.
-        """
-        if use_buffers and neighbors.size >= self.buffer_threshold:
-            key = (v, t_second, sub_mask)
-            buffer = self._buffers.get(key)
-            if buffer:
-                return buffer.pop()
-            self.instrumentation.count("neighbor_sweeps")
-            probabilities = neighbor_counts / neighbor_total
-            drawn = draws.choice(neighbors, size=self.buffer_size, p=probabilities)
-            buffer = [int(u) for u in drawn]
-            self._buffers[key] = buffer
-            return buffer.pop()
-        self.instrumentation.count("neighbor_sweeps")
-        r = draws.random() * neighbor_total
-        running = np.cumsum(neighbor_counts)
-        position = int(np.searchsorted(running, r, side="right"))
-        position = min(position, neighbors.size - 1)
-        return int(neighbors[position])

@@ -204,7 +204,7 @@ def _execute_run(
 
     if spec.load_dir is not None:
         # The member artifact's manifest is authoritative: it records the
-        # full build config (child seed, buffers, batch size) alongside
+        # full build config (child seed, batch size) alongside
         # the post-build RNG state, which is what makes artifact-backed
         # sampling bit-identical to the live ensemble.  An explicit
         # table_layout overrides only the in-memory representation —
@@ -441,6 +441,10 @@ class PipelineEngine:
         batch_size: Optional[int] = None,
         table_layout: Optional[str] = None,
     ) -> EnsembleResult:
+        if batch_size is not None and batch_size < 1:
+            raise SamplingError(
+                f"batch_size must be at least 1, got {batch_size}"
+            )
         members: Optional[List[Optional[str]]] = None
         if artifact is not None:
             if seeds is not None:

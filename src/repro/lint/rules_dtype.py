@@ -5,7 +5,7 @@ integer* argument: counts live in int64 (or uint32 in the gathered
 store, chosen explicitly when the level maximum fits), thresholds are
 int64, and the only floats are the pre-drawn float64 uniforms — so
 every comparison is exact and the fused path can promise byte-equality
-with ``method="loop"`` (``docs/sampling.md``).  The PR 9 incremental
+with the scalar reference recursion (``docs/architecture.md``).  The PR 9 incremental
 frontier recomputation — the shared level kernel run on the touched
 columns — makes the same promise against a fresh rebuild.
 
@@ -104,8 +104,8 @@ class _KernelRule(Rule):
 class DtypeExplicitRule(_KernelRule):
     """REPRO-X001: array constructors in kernels need an explicit dtype.
 
-    Enforces the PR 6 exact-integer contract (``docs/sampling.md``:
-    fused descent is bit-identical to ``method="loop"`` because every
+    Enforces the PR 6 exact-integer contract (``docs/architecture.md``:
+    fused descent is bit-identical to the scalar recursion because every
     array's width is chosen, not inherited): in ``colorcoding/urn.py``,
     ``incremental.py`` and ``level.py``, ``np.arange``/``np.zeros``/...
     without ``dtype=`` default to platform-dependent widths.

@@ -1,9 +1,8 @@
 """High-level facade: the ``motivo`` pipeline in one object.
 
 :class:`MotivoCounter` wires the full paper pipeline together — color the
-graph, run the build-up phase (the batched one-SpMM-per-layer kernel by
-default; ``kernel="legacy"`` keeps the per-key oracle), wrap the table in
-an urn, sample (naive or AGS, both drawn in vectorized batches of
+graph, run the build-up phase (one SpMM per layer), wrap the table in an
+urn, sample (naive or AGS, both drawn in vectorized batches of
 ``batch_size``), convert to count estimates — behind a configuration
 dataclass.  Layer storage follows the config: in-memory by default,
 greedily flushed to ``spill_dir`` and memory-mapped back when set
@@ -76,8 +75,7 @@ UpdateBatch = Union[np.ndarray, Iterable[Tuple[object, int, int]]]
 
 #: MotivoConfig fields recorded in (and restored from) artifact manifests.
 _BUILD_FIELDS = (
-    "k", "seed", "zero_rooting", "biased_lambda",
-    "buffer_threshold", "buffer_size", "kernel", "batch_size",
+    "k", "seed", "zero_rooting", "biased_lambda", "batch_size",
     "table_layout", "descent_cache_bytes",
 )
 
@@ -98,24 +96,18 @@ class MotivoConfig:
     biased_lambda:
         When set, use the §3.4 biased coloring with this λ instead of the
         uniform coloring.
-    buffer_threshold / buffer_size:
-        Neighbor-buffering parameters (§3.2; paper: 10^4 and 100).
     spill_dir:
         When set, layers are greedily flushed there and memory-mapped back
         (§3.1/§3.3).
     sigma_cache_dir:
         When set, σ_ij tables are cached on disk (§3.3).
-    kernel:
-        Build-up kernel: ``"batched"`` (one SpMM per layer, the default)
-        or ``"legacy"`` (per-key loop, the correctness oracle).  Both
-        produce bit-identical tables.
     batch_size:
         Samples per vectorized sampling chunk (naive chunks, AGS adaptive
-        chunk cap).  ``<= 1`` falls back to the original per-sample draw
-        loop; the two regimes consume the generator differently, so
-        estimates are reproducible per ``(seed, batch_size)``.
+        chunk cap), at least 1.  The chunking decides how the generator
+        is consumed, so estimates are reproducible per ``(seed,
+        batch_size)``.
     table_layout:
-        In-memory count-table layout: ``"dense"`` (the build kernels'
+        In-memory count-table layout: ``"dense"`` (the build kernel's
         matrix form, the default) or ``"succinct"`` (the paper's CSR
         records — layers seal as they retire from the build frontier,
         shrinking resident memory to O(stored pairs)).  Both layouts
@@ -146,8 +138,7 @@ class MotivoConfig:
         straight to disk, and any allocation that would overshoot the
         budget raises :class:`~repro.errors.MemoryBudgetError` instead
         of silently growing.  The table is bit-identical to the
-        in-memory build.  Requires ``kernel="batched"``; incompatible
-        with ``spill_dir`` (the sharded store subsumes spilling).
+        in-memory build.  Incompatible with ``spill_dir`` (the sharded store subsumes spilling).
     num_shards:
         Explicit shard count for the sharded build.  Defaults to the
         smallest count whose modeled working set fits ``memory_budget``
@@ -194,11 +185,8 @@ class MotivoConfig:
     seed: Optional[int] = None
     zero_rooting: bool = True
     biased_lambda: Optional[float] = None
-    buffer_threshold: int = 10_000
-    buffer_size: int = 100
     spill_dir: Optional[str] = None
     sigma_cache_dir: Optional[str] = None
-    kernel: str = "batched"
     batch_size: int = DEFAULT_BATCH_SIZE
     table_layout: str = "dense"
     descent_cache_bytes: int = DEFAULT_DESCENT_CACHE_BYTES
@@ -225,6 +213,10 @@ class MotivoCounter:
         self.config = config or MotivoConfig()
         if self.config.k < 2:
             raise BuildError("motif size k must be at least 2")
+        if self.config.batch_size < 1:
+            raise SamplingError(
+                f"batch_size must be at least 1, got {self.config.batch_size}"
+            )
         self.registry = TreeletRegistry(self.config.k)
         self.instrumentation = Instrumentation()
         self.sigma_cache = SigmaCache(self.config.sigma_cache_dir)
@@ -290,9 +282,7 @@ class MotivoCounter:
         return self._build_fresh()
 
     def _build_fresh(self) -> Optional[TreeletUrn]:
-        with self._stage(
-            "buildup", k=self.config.k, kernel=self.config.kernel
-        ):
+        with self._stage("buildup", k=self.config.k):
             return self._build_fresh_inner()
 
     def _build_fresh_inner(self) -> Optional[TreeletUrn]:
@@ -318,7 +308,6 @@ class MotivoCounter:
                 zero_rooting=config.zero_rooting,
                 store=self.store,
                 instrumentation=self.instrumentation,
-                kernel=config.kernel,
                 layout=config.table_layout,
             )
         self._finish_build(table)
@@ -336,11 +325,6 @@ class MotivoCounter:
         from repro.table.layer_store import ShardedStore
 
         config = self.config
-        if config.kernel != "batched":
-            raise BuildError(
-                "the sharded build is an arrangement of the batched "
-                f"kernel; kernel={config.kernel!r} cannot run sharded"
-            )
         if config.spill_dir:
             raise BuildError(
                 "memory_budget/num_shards and spill_dir are mutually "
@@ -438,8 +422,6 @@ class MotivoCounter:
                 table,
                 self.coloring,
                 registry=self.registry,
-                buffer_threshold=config.buffer_threshold,
-                buffer_size=config.buffer_size,
                 instrumentation=self.instrumentation,
                 program=program,
                 descent_cache_bytes=config.descent_cache_bytes,
@@ -557,7 +539,6 @@ class MotivoCounter:
                         registry=self.registry,
                         zero_rooting=config.zero_rooting,
                         instrumentation=self.instrumentation,
-                        kernel=config.kernel,
                         layout=config.table_layout,
                     )
                 else:

@@ -19,8 +19,7 @@ usage ``n_j`` instead is equivalent and lets σ tables be computed lazily —
 only for graphlets actually observed — exactly the laziness motivo's disk
 cache of σ_ij enables (§3.3).
 
-Chunked draws.  With the batched sampling engine, draws run in *adaptive
-chunks* between set-cover checks: a chunk of up to ``batch_size`` copies
+Chunked draws.  Draws run in *adaptive chunks* between set-cover checks: a chunk of up to ``batch_size`` copies
 of the current shape is drawn with one
 :meth:`~repro.colorcoding.urn.TreeletUrn.sample_shape_batch` call, hits
 are tallied, and only then is coverage re-evaluated (one shape switch per
@@ -31,8 +30,8 @@ full batch width.  Every sample is attributed to the shape it was
 actually drawn with, so the importance weights ``w_i`` (and hence the
 estimator) remain exact under chunking; the only deviation from the
 paper's pseudocode is that a switch can lag the covering sample by at
-most one chunk.  ``batch_size <= 1`` reproduces the original per-sample
-loop draw for draw.  (The estimator math is derived in
+most one chunk; ``batch_size=1`` re-evaluates coverage after every
+sample, as the pseudocode does.  (The estimator math is derived in
 ``docs/estimators.md``.)
 
 This yields multiplicative (1±ε) guarantees for *all* graphlets at once
@@ -98,7 +97,7 @@ def ags_estimate(
     Parameters
     ----------
     urn, classifier:
-        Sampling engine (must support ``sample_shape``) and classifier.
+        Sampling engine and classifier.
     budget:
         Total number of ``sample(T)`` calls.  The paper's pseudocode stops
         when *every* graphlet is covered; real graphs contain graphlets
@@ -110,20 +109,21 @@ def ags_estimate(
     sigma_cache:
         Optional disk-backed σ_ij cache shared across runs.
     batch_size:
-        Upper bound on the adaptive chunk size (see the module docstring);
-        ``<= 1`` keeps the original per-sample loop.  Runs are
-        deterministic per ``(seed, batch_size)``.
+        Upper bound on the adaptive chunk size, at least 1 (see the
+        module docstring).  Runs are deterministic per ``(seed,
+        batch_size)``.
     draw_shape:
         Optional chunk-draw hook replacing ``urn.sample_shape_batch(
         shape, size, rng)`` — the serving layer routes chunks through
         its request coalescer here.  A hook that consumes the generator
         exactly like ``sample_shape_batch`` keeps the run bit-identical.
-        Batched path only (ignored when ``batch_size <= 1``).
     """
     if budget < 1:
         raise SamplingError("need a positive sampling budget")
     if cover_threshold < 1:
         raise SamplingError("cover threshold must be positive")
+    if batch_size < 1:
+        raise SamplingError(f"batch_size must be at least 1, got {batch_size}")
     rng = ensure_rng(rng)
     registry = urn.registry
     k = urn.k
@@ -173,22 +173,14 @@ def ags_estimate(
 
     drawn = 0
     chunk = _MIN_CHUNK
+    if draw_shape is None:
+        draw_shape = urn.sample_shape_batch
     while drawn < budget:
-        if batch_size <= 1:
-            usage[current] += 1
-            vertices, _treelet, _mask = urn.sample_shape(current, rng)
-            codes = [classifier.classify(vertices)]
-            drawn += 1
-        else:
-            size = min(chunk, batch_size, budget - drawn)
-            usage[current] += size
-            matrix, _treelets, _masks = (
-                urn.sample_shape_batch(current, size, rng)
-                if draw_shape is None
-                else draw_shape(current, size, rng)
-            )
-            codes = classifier.classify_batch(matrix).tolist()
-            drawn += size
+        size = min(chunk, batch_size, budget - drawn)
+        usage[current] += size
+        matrix, _treelets, _masks = draw_shape(current, size, rng)
+        codes = classifier.classify_batch(matrix).tolist()
+        drawn += size
         newly_covered = False
         for bits in codes:
             if bits not in sigma_tables:

@@ -13,13 +13,11 @@ colorful k-treelets.  Hence, with ``x_i`` hits among ``s`` samples,
 ``docs/estimators.md``.)  Rare graphlets need Θ(t / (c_i σ_i)) samples to
 be seen even once — the additive error barrier AGS breaks.
 
-Since the batched sampling engine landed, the sampling loop runs in
-chunks of ``batch_size`` through
+The sampling loop runs in chunks of ``batch_size`` through
 :meth:`~repro.colorcoding.urn.TreeletUrn.sample_batch` and
 :meth:`~repro.sampling.occurrences.GraphletClassifier.classify_batch`;
-``batch_size <= 1`` falls back to the original per-sample draws (the two
-regimes consume the generator differently, so estimates are reproducible
-per ``(seed, batch_size)``).
+the chunking decides how the generator is consumed, so estimates are
+reproducible per ``(seed, batch_size)``.
 """
 
 from __future__ import annotations
@@ -55,9 +53,8 @@ def naive_hit_counts(
 ) -> Counter:
     """Raw sampling loop: canonical graphlet encoding → number of hits.
 
-    Draws run in chunks of ``batch_size`` through the vectorized engine;
-    ``batch_size <= 1`` keeps the original one-at-a-time path (scalar
-    alias draws, neighbor buffering).
+    Draws run in chunks of ``batch_size`` (at least 1) through the
+    vectorized engine.
 
     ``draw`` replaces the chunk draw ``urn.sample_batch(chunk, rng)``
     with a caller-supplied ``draw(chunk, rng)`` returning the same
@@ -65,17 +62,13 @@ def naive_hit_counts(
     chunks through its request coalescer; a hook that consumes the
     generator exactly like ``sample_batch`` (one ``rng.random((chunk,
     urn.draw_width))`` block) keeps the estimate bit-identical.
-    Batched path only — it is ignored when ``batch_size <= 1``.
     """
     if num_samples < 1:
         raise SamplingError("need at least one sample")
+    if batch_size < 1:
+        raise SamplingError(f"batch_size must be at least 1, got {batch_size}")
     rng = ensure_rng(rng)
     hits: Counter = Counter()
-    if batch_size <= 1:
-        for _ in range(num_samples):
-            vertices, _treelet, _mask = urn.sample(rng)
-            hits[classifier.classify(vertices)] += 1
-        return hits
     if draw is None:
         draw = urn.sample_batch
     remaining = num_samples
@@ -111,7 +104,7 @@ def naive_estimate(
         Optional precomputed spanning-tree counts (canonical encoding →
         σ_i); missing entries are computed via Kirchhoff on demand.
     batch_size:
-        Samples per vectorized chunk; ``<= 1`` uses the per-sample path.
+        Samples per vectorized chunk (at least 1).
     draw:
         Optional chunk-draw hook, forwarded to :func:`naive_hit_counts`.
     """

@@ -409,47 +409,26 @@ class TableHandle:
         rng,
         cover_threshold: int,
     ) -> Tuple[GraphletEstimates, Dict[str, object]]:
-        """One request's estimate against this handle.
-
-        Draws route through the coalescer; a recorded ``batch_size <=
-        1`` (the scalar reference path, which mutates the urn's
-        neighbor buffers) falls back to running the whole estimate
-        under the draw lock instead.
-        """
+        """One request's estimate against this handle; draws route
+        through the coalescer."""
         if estimator == "naive":
             if self.urn is None:
                 return self._empty(samples, "naive"), {}
-            if self.batch_size <= 1:
-                with self._draw_lock:
-                    estimates = naive_estimate(
-                        self.urn, self.classifier, samples, rng,
-                        batch_size=self.batch_size,
-                    )
-            else:
-                estimates = naive_estimate(
-                    self.urn, self.classifier, samples, rng,
-                    batch_size=self.batch_size, draw=self.draw,
-                )
+            estimates = naive_estimate(
+                self.urn, self.classifier, samples, rng,
+                batch_size=self.batch_size, draw=self.draw,
+            )
             return estimates, {}
         if estimator == "ags":
             if self.urn is None:
                 return self._empty(samples, "ags"), {}
-            if self.batch_size <= 1:
-                with self._draw_lock:
-                    result = ags_estimate(
-                        self.urn, self.classifier, samples,
-                        cover_threshold=cover_threshold, rng=rng,
-                        sigma_cache=self.sigma_cache,
-                        batch_size=self.batch_size,
-                    )
-            else:
-                result = ags_estimate(
-                    self.urn, self.classifier, samples,
-                    cover_threshold=cover_threshold, rng=rng,
-                    sigma_cache=self.sigma_cache,
-                    batch_size=self.batch_size,
-                    draw_shape=self.draw_shape,
-                )
+            result = ags_estimate(
+                self.urn, self.classifier, samples,
+                cover_threshold=cover_threshold, rng=rng,
+                sigma_cache=self.sigma_cache,
+                batch_size=self.batch_size,
+                draw_shape=self.draw_shape,
+            )
             extras = {
                 "covered": len(result.covered),
                 "switches": result.switches,
@@ -668,8 +647,6 @@ class SamplingService:
                 graph,
                 artifact.table,
                 artifact.coloring,
-                buffer_threshold=int(build.get("buffer_threshold", 10_000)),
-                buffer_size=int(build.get("buffer_size", 100)),
                 program=artifact.descent_program,
                 descent_cache_bytes=int(
                     build.get("descent_cache_bytes", 0)

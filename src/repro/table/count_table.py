@@ -900,7 +900,7 @@ class CountTable:
 
         Splitting the variate from the draw makes the key choice a pure
         function of ``u``, which is what lets the batched sampling engine
-        and its per-sample reference path agree bit for bit when both read
+        and the scalar reference recursion agree bit for bit when both read
         the same uniform matrix.
         """
         layer = self.layer(self.k)
@@ -910,12 +910,12 @@ class CountTable:
         """Vectorized :meth:`sample_key_at`: one size-k key row per root.
 
         For each ``(roots[i], us[i])`` pair, returns the row index into
-        the size-k layer that the scalar path would pick.  Each layout
+        the size-k layer that :meth:`sample_key_at` would pick.  Each layout
         inverts its own cumulative structure — the dense layer
         column-compares the full cumulative matrix, the succinct layer
         runs a ragged ``searchsorted`` over its record slices — and the
         comparisons involve only integer-valued floats, so the layouts
-        (and the scalar path) cannot disagree.
+        (and :meth:`sample_key_at`) cannot disagree.
         """
         layer = self.layer(self.k)
         if layer.num_keys == 0:

@@ -104,7 +104,7 @@ class Instrumentation:
     counters:
         Live view: name → number of times the event happened (e.g.
         ``"check_and_merge"``, ``"merge_success"``,
-        ``"neighbor_sweeps"``).
+        ``"batched_samples"``).
     timings:
         Live view: name → total seconds inside :meth:`timer` blocks.
     """

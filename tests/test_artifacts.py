@@ -179,14 +179,16 @@ class TestTableRoundTrip:
         )
 
     def test_build_params_restored(self, host, tmp_path):
-        config = MotivoConfig(k=4, seed=5, buffer_threshold=123, batch_size=64)
+        config = MotivoConfig(
+            k=4, seed=5, descent_cache_bytes=1 << 20, batch_size=64
+        )
         counter = MotivoCounter(host, config)
         counter.build()
         counter.save_artifact(str(tmp_path / "a"))
         warm = MotivoCounter.from_artifact(host, str(tmp_path / "a"))
         assert warm.config.k == 4
         assert warm.config.seed == 5
-        assert warm.config.buffer_threshold == 123
+        assert warm.config.descent_cache_bytes == 1 << 20
         assert warm.config.batch_size == 64
 
     def test_from_artifact_without_build_params(self, host, tmp_path):
@@ -389,9 +391,10 @@ class TestArtifactCache:
         assert cache.key(host, base) != cache.key(host, base, codec="succinct")
         other = erdos_renyi(40, 121, rng=6)
         assert cache.key(host, base) != cache.key(other, base)
-        # kernel choice must NOT split the cache: tables are bit-identical
+        # sampling-side and layout choices must NOT split the cache
         assert cache.key(host, base) == cache.key(
-            host, MotivoConfig(k=4, seed=1, kernel="legacy")
+            host,
+            MotivoConfig(k=4, seed=1, table_layout="succinct", batch_size=7),
         )
 
     def test_stale_cached_artifact_is_a_miss_not_a_failure(
@@ -589,12 +592,10 @@ class TestEnsembleArtifacts:
         self, host, tmp_path
     ):
         """Member manifests are authoritative: sampling a bundle built
-        with non-default buffer/batch params is bit-identical to the
+        with a non-default batch size is bit-identical to the
         live ensemble even when the sampling engine's own config says
         otherwise (library-path counterpart of the CLI test)."""
-        built_config = MotivoConfig(
-            k=4, seed=11, buffer_threshold=2, buffer_size=7, batch_size=1
-        )
+        built_config = MotivoConfig(k=4, seed=11, batch_size=1)
         live = PipelineEngine(host, built_config, colorings=2).run_naive(150)
         PipelineEngine(host, built_config, colorings=2).build_artifact(
             str(tmp_path / "ens")
@@ -649,18 +650,16 @@ class TestEnsembleArtifacts:
     def test_cli_sample_restores_nondefault_sampling_params(
         self, host, tmp_path
     ):
-        """Bit-identity survives non-default buffer/batch build params:
-        the CLI must restore them from the bundle manifest, since both
-        change how sampling consumes the RNG stream."""
+        """Bit-identity survives a non-default batch size: the CLI must
+        restore it from the bundle manifest, since it changes how
+        sampling consumes the RNG stream."""
         from repro.cli import main
         from repro.graph.io import save_edge_list
         from repro.sampling.estimates import GraphletEstimates
 
         graph_path = str(tmp_path / "g.txt")
         save_edge_list(host, graph_path)
-        config = MotivoConfig(
-            k=4, seed=11, buffer_threshold=2, buffer_size=7, batch_size=1
-        )
+        config = MotivoConfig(k=4, seed=11, batch_size=1)
         live = PipelineEngine(host, config, colorings=2).run_naive(150)
         PipelineEngine(host, config, colorings=2).build_artifact(
             str(tmp_path / "ens"), source=graph_path
@@ -822,3 +821,51 @@ class TestCli:
         status = main(["sample", str(tmp_path / "nothing"), "--samples", "10"])
         assert status == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestRetiredBuildFields:
+    """Manifests written while ``kernel``, ``buffer_threshold`` and
+    ``buffer_size`` were build fields still carry them; those keys are
+    ignored on open and never reached the cache key."""
+
+    def test_cache_key_is_stable(self, host):
+        # Pinned digests: the key hashes graph, k, seed, zero-rooting,
+        # λ and codec only, so retiring build fields must not move it.
+        config = MotivoConfig(k=4, seed=11)
+        assert ArtifactCache.key(host, config) == (
+            "37bc19098ab70efacae7b3d78216239f710048d809c2bb42cb95f066c0f240a3"
+        )
+        assert ArtifactCache.key(host, config, codec="succinct") == (
+            "8750502e91904c6dda0a3ff9e670e0ade4bc39d9a154286d84935105227fab36"
+        )
+
+    def test_old_manifest_opens_and_samples_identically(
+        self, host, tmp_path
+    ):
+        from repro.serve import SamplingService
+
+        retired = {"kernel": "legacy", "buffer_threshold": 2, "buffer_size": 7}
+        results = {}
+        for name, extra in (("plain", {}), ("old", retired)):
+            root = str(tmp_path / name)
+            MotivoCounter(
+                host, MotivoConfig(k=4, seed=11, artifact_dir=root)
+            ).build()
+            (entry,) = ArtifactCache(root).entries()
+            manifest_path = os.path.join(entry.path, "manifest.json")
+            with open(manifest_path, encoding="utf-8") as handle:
+                manifest = json.load(handle)
+            manifest["build"].update(extra)
+            with open(manifest_path, "w", encoding="utf-8") as handle:
+                json.dump(manifest, handle)
+            warm = MotivoCounter.from_artifact(host, entry.path)
+            with SamplingService(root) as service:
+                service.add_graph(host)
+                served = service.count(samples=300, session="s", seed=5)
+            results[name] = (
+                entry.key,
+                warm.sample_naive(300).counts,
+                warm.sample_ags(300, 40).estimates.counts,
+                served.estimates.counts,
+            )
+        assert results["old"] == results["plain"]

@@ -23,6 +23,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate", "nope", "out.txt"])
 
+    @pytest.mark.parametrize("command", [
+        ["count", "facebook"], ["sample", "some-artifact"],
+    ])
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_batch_size_below_one_is_a_usage_error(
+        self, command, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--batch-size", value])
+        assert exit_info.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_writes_edge_list(self, tmp_path, capsys):

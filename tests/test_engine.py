@@ -1,7 +1,8 @@
 """Tests for the batched build-up kernel and the ensemble engine.
 
 The contract under test is strong: the batched one-SpMM-per-layer kernel
-must produce *bit-identical* tables to the legacy per-key oracle on every
+must produce *bit-identical* tables to the per-key reference loop
+(``support.reference.build_table_reference``) on every
 configuration (sizes, 0-rooting, spill, degenerate colorings), and the
 ensemble engine must give identical results for a fixed seed no matter
 how many worker processes it fans out over.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import BuildError, SamplingError
+from repro.errors import SamplingError
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
 from repro.engine import EnsembleResult, PipelineEngine, derive_child_seeds
@@ -21,6 +22,7 @@ from repro.motivo import MotivoConfig, MotivoCounter
 from repro.table.flush import SpillStore
 from repro.table.layer_store import SpillLayerStore
 from repro.util.instrument import Instrumentation
+from support.reference import build_table_reference
 
 
 def assert_bit_identical(a, b, k):
@@ -33,32 +35,30 @@ def assert_bit_identical(a, b, k):
 
 
 class TestKernelEquivalence:
-    """Batched vs legacy: bit-identical on the full configuration matrix."""
+    """Batched vs reference: bit-identical on the full configuration matrix."""
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     @pytest.mark.parametrize("zero_rooting", [True, False])
     def test_random_graphs(self, k, zero_rooting):
         graph = erdos_renyi(40, 140, rng=k)
         coloring = ColoringScheme.uniform(40, k, rng=k + 50)
-        batched = build_table(
-            graph, coloring, zero_rooting=zero_rooting, kernel="batched"
+        batched = build_table(graph, coloring, zero_rooting=zero_rooting)
+        reference = build_table_reference(
+            graph, coloring, zero_rooting=zero_rooting
         )
-        legacy = build_table(
-            graph, coloring, zero_rooting=zero_rooting, kernel="legacy"
-        )
-        assert_bit_identical(batched, legacy, k)
+        assert_bit_identical(batched, reference, k)
 
-    @pytest.mark.parametrize("kernel_pair", [("batched", "legacy")])
+    @pytest.mark.parametrize("kernel_pair", [("batched", "reference")])
     def test_with_spill(self, tmp_path, kernel_pair):
         graph = erdos_renyi(30, 90, rng=2)
         coloring = ColoringScheme.uniform(30, 4, rng=3)
+        builders = {"batched": build_table, "reference": build_table_reference}
         tables = []
         for kernel in kernel_pair:
             store = SpillStore(str(tmp_path / kernel))
             tables.append(
-                build_table(
-                    graph, coloring, store=SpillLayerStore(store),
-                    kernel=kernel,
+                builders[kernel](
+                    graph, coloring, store=SpillLayerStore(store)
                 )
             )
         assert_bit_identical(tables[0], tables[1], 4)
@@ -71,26 +71,20 @@ class TestKernelEquivalence:
         coloring = ColoringScheme.fixed(colors, k=4)
         instrumentation = Instrumentation()
         batched = build_table(
-            graph, coloring, instrumentation=instrumentation, kernel="batched"
+            graph, coloring, instrumentation=instrumentation
         )
-        legacy = build_table(graph, coloring, kernel="legacy")
+        reference = build_table_reference(graph, coloring)
         assert instrumentation["fallback_levels"] > 0
-        assert_bit_identical(batched, legacy, 4)
+        assert_bit_identical(batched, reference, 4)
 
     def test_biased_coloring(self):
         graph = erdos_renyi(30, 80, rng=6)
         coloring = ColoringScheme.biased(30, 4, lam=0.15, rng=7)
         assert_bit_identical(
-            build_table(graph, coloring, kernel="batched"),
-            build_table(graph, coloring, kernel="legacy"),
+            build_table(graph, coloring),
+            build_table_reference(graph, coloring),
             4,
         )
-
-    def test_unknown_kernel_rejected(self):
-        graph = erdos_renyi(10, 20, rng=0)
-        coloring = ColoringScheme.uniform(10, 3, rng=1)
-        with pytest.raises(BuildError):
-            build_table(graph, coloring, kernel="turbo")
 
     def test_batched_kernel_instrumentation(self):
         graph = erdos_renyi(25, 70, rng=8)
@@ -105,13 +99,13 @@ class TestKernelEquivalence:
         graph = erdos_renyi(25, 70, rng=10)
         coloring = ColoringScheme.uniform(25, 5, rng=11)
         counts = {}
-        for kernel in ("batched", "legacy"):
+        for name, builder in (
+            ("batched", build_table), ("reference", build_table_reference)
+        ):
             instrumentation = Instrumentation()
-            build_table(
-                graph, coloring, instrumentation=instrumentation, kernel=kernel
-            )
-            counts[kernel] = instrumentation["merge_ops"]
-        assert counts["batched"] == counts["legacy"]
+            builder(graph, coloring, instrumentation=instrumentation)
+            counts[name] = instrumentation["merge_ops"]
+        assert counts["batched"] == counts["reference"]
 
 
 class TestDerivedSeeds:
@@ -240,18 +234,6 @@ class TestFacadeIntegration:
         estimates_fanned = fanned.averaged_naive(3, 300, jobs=2)
         assert estimates_serial.counts == estimates_fanned.counts
         assert estimates_serial.method == "naive-averaged"
-
-    def test_legacy_kernel_config(self):
-        graph = erdos_renyi(30, 90, rng=5)
-        batched = MotivoCounter(graph, MotivoConfig(k=4, seed=5))
-        legacy = MotivoCounter(
-            graph, MotivoConfig(k=4, seed=5, kernel="legacy")
-        )
-        batched.build()
-        legacy.build()
-        assert batched.sample_naive(500).counts == pytest.approx(
-            legacy.sample_naive(500).counts
-        )
 
 
 class TestInstrumentationTransport:

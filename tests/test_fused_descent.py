@@ -1,9 +1,9 @@
 """Tests for the fused descent kernel and artifact-cached plans.
 
 The fused one-pass kernel must stay **bit-identical** to the per-sample
-recursion (``method="loop"``) across the whole supported range: every
-k in 2..8, degenerate colorings, zero-rooting on and off, dense and
-succinct table layouts.  On top of the kernel itself: compiled descent
+reference recursion (``support.reference.ScalarSampler``) across the
+whole supported range: every k in 2..8, degenerate colorings,
+zero-rooting on and off, dense and succinct table layouts.  On top of the kernel itself: compiled descent
 programs must serialize losslessly, plan-carrying artifacts must reopen
 with **zero** plan compilation, stale or corrupted plans must fail
 loud (never silently resample from the wrong plan), old artifacts
@@ -35,6 +35,7 @@ from repro.graph.generators import erdos_renyi, path_graph, star_graph
 from repro.motivo import MotivoConfig, MotivoCounter
 from repro.serve import SamplingService
 from repro.treelets.registry import TreeletRegistry
+from support.reference import ScalarSampler
 
 
 def make_urn(graph, k, seed=None, coloring=None, layout="dense",
@@ -73,8 +74,8 @@ class TestFusedLoopEquivalence:
         for draw_seed in (0, 173):
             assert_batches_equal(
                 urn.sample_batch(211, np.random.default_rng(draw_seed)),
-                urn.sample_batch(
-                    211, np.random.default_rng(draw_seed), method="loop"
+                ScalarSampler(urn).sample_batch(
+                    211, np.random.default_rng(draw_seed)
                 ),
             )
 
@@ -87,8 +88,8 @@ class TestFusedLoopEquivalence:
         )
         assert_batches_equal(
             urn.sample_batch(301, np.random.default_rng(12)),
-            urn.sample_batch(
-                301, np.random.default_rng(12), method="loop"
+            ScalarSampler(urn).sample_batch(
+                301, np.random.default_rng(12)
             ),
         )
 
@@ -100,8 +101,8 @@ class TestFusedLoopEquivalence:
         urn = make_urn(path_graph(12), 4, coloring=coloring)
         assert_batches_equal(
             urn.sample_batch(200, np.random.default_rng(5)),
-            urn.sample_batch(
-                200, np.random.default_rng(5), method="loop"
+            ScalarSampler(urn).sample_batch(
+                200, np.random.default_rng(5)
             ),
         )
 
@@ -179,8 +180,8 @@ class TestDescentProgram:
         urn = TreeletUrn(graph, table, mine, program=program)
         assert_batches_equal(
             urn.sample_batch(150, np.random.default_rng(3)),
-            urn.sample_batch(
-                150, np.random.default_rng(3), method="loop"
+            ScalarSampler(urn).sample_batch(
+                150, np.random.default_rng(3)
             ),
         )
 

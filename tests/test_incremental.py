@@ -37,6 +37,7 @@ from repro.cli import main as cli_main
 from repro.colorcoding.buildup import build_table
 from repro.colorcoding.coloring import ColoringScheme
 from repro.colorcoding.incremental import (
+    _FrontierReader,
     apply_edge_updates,
     touched_frontiers,
 )
@@ -154,28 +155,55 @@ class TestGraphSplice:
         assert new_graph.fingerprint() == graph.fingerprint()
 
 
+class TestFrontierReader:
+    def test_halo_is_rebuilt_when_rows_change(self):
+        """One reader asked for two row sets answers each like a fresh
+        reader: the cached halo belongs to the rows it was built for."""
+        graph = erdos_renyi(40, 100, rng=3)
+        coloring = ColoringScheme.uniform(40, 4, rng=4)
+        table = build_table(graph, coloring)
+        adjacency = graph.adjacency_csr()
+        reader = _FrontierReader(table, adjacency, Instrumentation())
+        for rows in (np.arange(0, 40, 3), np.arange(5, 25)):
+            fresh = _FrontierReader(table, adjacency, Instrumentation())
+            for size in (1, 2):
+                assert np.array_equal(
+                    reader.subset_sums(size, rows, None),
+                    fresh.subset_sums(size, rows, None),
+                )
+
+
 class TestTouchedFrontiers:
     def test_balls_are_union_bfs_balls(self):
-        rng = np.random.default_rng(11)
-        n = 40
-        graph = Graph.from_edges(powerlaw_edges(n, 70, seed=2), n)
-        batch = _mixed_batch(rng, graph, inserts=2, deletes=2)
-        new_graph, _ = graph.apply_updates(batch)
-        _, _, endpoints = graph.resolve_updates(batch)
-        k = 5
-        balls = touched_frontiers(graph, new_graph, endpoints, k)
-        assert len(balls) == k - 1
+        """Shell-by-shell growth reaches exactly the BFS balls over the
+        union adjacency, on power-law and ER graphs and radii up to 5."""
+        cases = [(11, Graph.from_edges(powerlaw_edges(40, 70, seed=2), 40), 5)]
+        for seed in range(4):
+            n = 20 + 12 * seed
+            graph = (
+                Graph.from_edges(powerlaw_edges(n, 2 * n, seed=seed), n)
+                if seed % 2 else erdos_renyi(n, 2 * n, rng=seed)
+            )
+            cases.append((900 + seed, graph, 4 + seed))
+        for rng_seed, graph, k in cases:
+            rng = np.random.default_rng(rng_seed)
+            batch = _mixed_batch(rng, graph, inserts=2, deletes=2)
+            new_graph, _ = graph.apply_updates(batch)
+            _, _, endpoints = graph.resolve_updates(batch)
+            balls = touched_frontiers(graph, new_graph, endpoints, k)
+            assert len(balls) == k - 1
 
-        # Reference: BFS over the union adjacency.
-        union = {v: set() for v in range(n)}
-        for g in (graph, new_graph):
-            for u, v in g.edges():
-                union[u].add(v)
-                union[v].add(u)
-        ball = set(int(e) for e in endpoints)
-        for radius, got in enumerate(balls):
-            assert np.array_equal(got, np.asarray(sorted(ball)))
-            ball |= {w for v in ball for w in union[v]}
+            # Reference: BFS over the union adjacency.
+            union = {v: set() for v in range(graph.num_vertices)}
+            for g in (graph, new_graph):
+                for u, v in g.edges():
+                    union[u].add(v)
+                    union[v].add(u)
+            ball = set(int(e) for e in endpoints)
+            for got in balls:
+                assert got.dtype == np.int64
+                assert np.array_equal(got, np.asarray(sorted(ball)))
+                ball |= {w for v in ball for w in union[v]}
 
     def test_nested(self):
         graph = erdos_renyi(30, 60, rng=1)

@@ -1,6 +1,6 @@
 """Cross-cutting tests of pipeline option combinations.
 
-The option matrix (biased coloring × zero-rooting × spilling × buffering)
+The option matrix (biased coloring × zero-rooting × spilling)
 must compose: every combination should yield a working urn whose samples
 are valid colorful treelet copies, and statistically equivalent estimates
 where the options are estimator-neutral.
@@ -108,11 +108,9 @@ class TestUrnValidityUnderBias:
         coloring = ColoringScheme.biased(host.num_vertices, 4, 0.1, rng=104)
         table = build_table(host, coloring)
         urn = TreeletUrn(host, table, coloring)
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            vertices, _t, _m = urn.sample(rng)
-            colors = {int(coloring.colors[v]) for v in vertices}
-            assert len(colors) == 4
+        vertices, _t, _m = urn.sample_batch(200, np.random.default_rng(3))
+        colors = np.sort(coloring.colors[vertices], axis=1)
+        assert np.all(colors == np.arange(4))
 
     def test_biased_shape_sampling(self, host):
         from repro.treelets.encoding import canonical_free
@@ -124,5 +122,6 @@ class TestUrnValidityUnderBias:
         for shape in urn.registry.free_shapes:
             if urn.shape_total(shape) <= 0:
                 continue
-            vertices, treelet, _ = urn.sample_shape(shape, rng)
-            assert canonical_free(treelet) == shape
+            _vertices, treelets, _ = urn.sample_shape_batch(shape, 5, rng)
+            for treelet in treelets.tolist():
+                assert canonical_free(treelet) == shape

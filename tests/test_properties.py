@@ -145,10 +145,10 @@ class TestSampledCopiesAreConsistent:
         for shape in urn.registry.free_shapes:
             if urn.shape_total(shape) <= 0:
                 continue
-            for _ in range(5):
-                vertices, treelet, _ = urn.sample_shape(shape, rng)
+            vertices, treelets, _ = urn.sample_shape_batch(shape, 5, rng)
+            codes = classifier.classify_batch(vertices)
+            for treelet, bits in zip(treelets.tolist(), codes.tolist()):
                 assert canonical_free(treelet) == shape
-                bits = classifier.classify(vertices)
                 sigma = spanning_tree_shape_counts(bits, k)
                 assert sigma.get(shape, 0) > 0
 

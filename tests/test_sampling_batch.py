@@ -1,8 +1,9 @@
 """Tests for the batched sampling engine.
 
 The load-bearing property: for a fixed seed, the vectorized descent
-(``method="batched"``) and the per-sample recursion (``method="loop"``)
-read the same uniform matrix and must return **bit-identical** samples —
+(``TreeletUrn.sample_batch``) and the per-sample reference recursion
+(``support.reference.ScalarSampler``) read the same uniform matrix and
+must return **bit-identical** samples —
 on ordinary graphs, hub graphs, degenerate colorings whose layers realize
 only part of the key universe, and the k=2 edge case.  On top of that:
 batched classification must agree element-wise with the scalar
@@ -30,6 +31,7 @@ from repro.sampling.ags import ags_estimate
 from repro.sampling.naive import naive_estimate, naive_hit_counts
 from repro.sampling.occurrences import GraphletClassifier
 from repro.treelets.registry import TreeletRegistry
+from support.reference import ScalarSampler
 
 
 def make_urn(graph, k, seed=None, coloring=None, **kwargs):
@@ -61,8 +63,8 @@ class TestBatchLoopEquivalence:
         for draw_seed in (0, 99, 2024):
             assert_batches_equal(
                 urn.sample_batch(257, np.random.default_rng(draw_seed)),
-                urn.sample_batch(
-                    257, np.random.default_rng(draw_seed), method="loop"
+                ScalarSampler(urn).sample_batch(
+                    257, np.random.default_rng(draw_seed)
                 ),
             )
 
@@ -76,8 +78,8 @@ class TestBatchLoopEquivalence:
                 urn.sample_shape_batch(
                     shape, 150, np.random.default_rng(7)
                 ),
-                urn.sample_shape_batch(
-                    shape, 150, np.random.default_rng(7), method="loop"
+                ScalarSampler(urn).sample_shape_batch(
+                    shape, 150, np.random.default_rng(7)
                 ),
             )
 
@@ -88,7 +90,7 @@ class TestBatchLoopEquivalence:
         urn = make_urn(path_graph(9), 3, coloring=coloring)
         assert_batches_equal(
             urn.sample_batch(300, np.random.default_rng(5)),
-            urn.sample_batch(300, np.random.default_rng(5), method="loop"),
+            ScalarSampler(urn).sample_batch(300, np.random.default_rng(5)),
         )
 
     def test_without_zero_rooting(self):
@@ -98,7 +100,7 @@ class TestBatchLoopEquivalence:
         urn = TreeletUrn(graph, table, coloring)
         assert_batches_equal(
             urn.sample_batch(300, np.random.default_rng(5)),
-            urn.sample_batch(300, np.random.default_rng(5), method="loop"),
+            ScalarSampler(urn).sample_batch(300, np.random.default_rng(5)),
         )
 
     def test_batch_samples_are_valid_copies(self):
@@ -129,7 +131,7 @@ class TestBatchLoopEquivalence:
             capped.sample_batch(300, np.random.default_rng(8)), reference
         )
         assert_batches_equal(
-            capped.sample_batch(300, np.random.default_rng(8), method="loop"),
+            ScalarSampler(capped).sample_batch(300, np.random.default_rng(8)),
             reference,
         )
         assert capped._gathered_cached_rows <= 4
@@ -140,7 +142,7 @@ class TestBatchLoopEquivalence:
         with pytest.raises(SamplingError):
             urn.sample_batch(0)
         with pytest.raises(SamplingError):
-            urn.sample_batch(10, method="telepathy")
+            urn.sample_batch(10, uniforms=np.zeros((10, 2)))
 
 
 class TestDescentPlans:
@@ -214,14 +216,22 @@ class TestRewiredEstimators:
         assert sum(a.values()) == 700
 
     def test_naive_batch_and_scalar_paths_agree_statistically(self):
-        """Different streams, same estimator: totals must be close."""
+        """Different streams, same estimator: totals must be close.  The
+        scalar side draws one buffered sample at a time."""
         urn = make_urn(erdos_renyi(40, 120, rng=9), 3, seed=32)
         classifier = GraphletClassifier(urn.graph, 3)
         batched = naive_estimate(
             urn, classifier, 20_000, np.random.default_rng(1)
         )
+        scalar_sampler = ScalarSampler(urn, buffer_threshold=8)
+
+        def scalar_draw(chunk, rng):
+            rows = [scalar_sampler.sample(rng)[0] for _ in range(chunk)]
+            return np.asarray(rows, dtype=np.int64), None, None
+
         scalar = naive_estimate(
-            urn, classifier, 20_000, np.random.default_rng(2), batch_size=1
+            urn, classifier, 20_000, np.random.default_rng(2),
+            draw=scalar_draw,
         )
         for bits in set(batched.counts) | set(scalar.counts):
             big = max(batched.counts.get(bits, 0), scalar.counts.get(bits, 0))
@@ -252,6 +262,8 @@ class TestRewiredEstimators:
         assert sum(first.shape_usage.values()) == 1500
 
     def test_ags_scalar_fallback_still_switches(self):
+        """``batch_size=1`` draws chunks of one and re-checks coverage
+        after every sample, as the paper's pseudocode does."""
         urn = make_urn(erdos_renyi(50, 160, rng=10), 4, seed=41)
         classifier = GraphletClassifier(urn.graph, 4)
         result = ags_estimate(
@@ -274,3 +286,44 @@ class TestRewiredEstimators:
         a.build()
         b.build()
         assert a.sample_naive(500).counts == b.sample_naive(500).counts
+
+
+class TestBatchSizeValidation:
+    """A chunk size below 1 would never shrink the remaining budget: every
+    entry point rejects it up front instead of looping forever."""
+
+    @pytest.fixture
+    def urn(self):
+        return make_urn(erdos_renyi(30, 80, rng=5), 3, seed=2)
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_naive_rejects(self, urn, batch_size):
+        classifier = GraphletClassifier(urn.graph, 3)
+        with pytest.raises(SamplingError, match="batch_size"):
+            naive_hit_counts(urn, classifier, 10, batch_size=batch_size)
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_ags_rejects(self, urn, batch_size):
+        classifier = GraphletClassifier(urn.graph, 3)
+        with pytest.raises(SamplingError, match="batch_size"):
+            ags_estimate(urn, classifier, 10, batch_size=batch_size)
+
+    def test_counter_rejects(self):
+        from repro.motivo import MotivoConfig, MotivoCounter
+
+        with pytest.raises(SamplingError, match="batch_size"):
+            MotivoCounter(
+                erdos_renyi(20, 40, rng=1), MotivoConfig(k=3, batch_size=0)
+            )
+
+    def test_engine_rejects(self):
+        from repro.engine import PipelineEngine
+        from repro.motivo import MotivoConfig
+
+        engine = PipelineEngine(
+            erdos_renyi(20, 40, rng=1), MotivoConfig(k=3, seed=1)
+        )
+        with pytest.raises(SamplingError, match="batch_size"):
+            engine.run_naive(10, batch_size=0)
+        with pytest.raises(SamplingError, match="batch_size"):
+            engine.run_ags(10, batch_size=-1)

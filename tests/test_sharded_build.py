@@ -36,6 +36,7 @@ from repro.table.layer_store import (
 from repro.treelets.registry import TreeletRegistry
 
 from support.graphgen import powerlaw_edges
+from support.reference import ScalarSampler
 
 
 def _sharded(graph, coloring, tmp_path, tag, num_shards, layout="dense",
@@ -110,14 +111,13 @@ class TestShardedBitIdentity:
         try:
             ref_urn = TreeletUrn(graph, reference, coloring)
             urn = TreeletUrn(graph, table, coloring)
-            for method in ("batched", "loop"):
-                expected = ref_urn.sample_batch(
-                    257, np.random.default_rng(11), method=method
-                )
-                got = urn.sample_batch(
-                    257, np.random.default_rng(11), method=method
-                )
-                for a, b in zip(expected, got):
+            for draw in (
+                lambda u: u.sample_batch(257, np.random.default_rng(11)),
+                lambda u: ScalarSampler(u).sample_batch(
+                    257, np.random.default_rng(11)
+                ),
+            ):
+                for a, b in zip(draw(ref_urn), draw(urn)):
                     assert np.array_equal(a, b)
             classifier = GraphletClassifier(graph, k)
             for batch_size in (256, 1):

